@@ -72,6 +72,12 @@ echo "== fragstore decoder fuzz (5s)"
 # error — never a panic, and survivors always re-load drop-free.
 go test -run='^$' -fuzz=FuzzFragstoreDecode -fuzztime=5s ./internal/fragstore/
 
+echo "== flight bundle decoder fuzz (5s)"
+# Arbitrary bytes, as given and resealed with a valid checksum, either
+# decode to a bundle whose re-encoding is byte-identical, or fail with a
+# typed *flight.Error — never a panic.
+go test -run='^$' -fuzz=FuzzFlightDecode -fuzztime=5s ./internal/flight/
+
 echo "== semcheck fuzz (5s)"
 # Arbitrary decodable superblocks through the real translator
 # (straightening included) must all prove semantically equivalent.
@@ -528,6 +534,12 @@ fi
 kill -TERM "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 rm -rf "$chaos_dir"
+
+echo "== hostbench self-tests (-short)"
+# The host-time benchmark's schema and correctness checks: metric tables
+# match BENCHMARK.json, corrupted oracles fail ops by name, count
+# baselines are enforced. No timing gate; runners are shared.
+(cd hostbench && go test -short .)
 
 echo "== docs gate (ildpreport -check)"
 go run ./cmd/ildpreport -check

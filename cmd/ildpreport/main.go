@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/ildp/accdbt/internal/iofs"
 	"github.com/ildp/accdbt/internal/report"
 )
 
@@ -83,7 +84,7 @@ func writeFiles(r *report.Report, source, docPath, benchPath string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(docPath, spliced, 0o644); err != nil {
+	if err := iofs.AtomicWriteFile(nil, docPath, spliced, 0o644); err != nil {
 		return err
 	}
 	benchData, err := os.ReadFile(benchPath)
@@ -94,7 +95,7 @@ func writeFiles(r *report.Report, source, docPath, benchPath string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(benchPath, updated, 0o644); err != nil {
+	if err := iofs.AtomicWriteFile(nil, benchPath, updated, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (generated block) and %s\n", docPath, benchPath)

@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("workers:            %d\n", workersOf(*workers))
 	fmt.Printf("quantum:            %d V-insts\n", *quantum)
 
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer(s.Handler())
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "ildpserve:", err)
@@ -150,6 +150,26 @@ func main() {
 	fmt.Printf("drained:            %d sessions spilled\n", spilled)
 	httpSrv.Close()
 	s.Close()
+}
+
+// Connection bounds of the HTTP server. A client gets readHeaderTimeout
+// to send its request headers, and an idle keep-alive connection is
+// closed after idleTimeout. There is no read or write timeout on the
+// whole request: long-polls and the SSE event stream stay open for as
+// long as they run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the server for the session API and telemetry
+// plane with the connection bounds above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // workersOf mirrors the server's GOMAXPROCS defaulting for the banner.

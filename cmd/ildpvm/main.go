@@ -516,8 +516,10 @@ func dumpFragments(v *vm.VM, n int) {
 	for _, f := range frags[:n] {
 		fmt.Printf("\nfragment %d: V %#x, %d entries, %d insts\n",
 			f.ID, f.VStart, f.ExecCount, len(f.Insts))
+		iaddr := f.IAddr
 		for i := range f.Insts {
-			fmt.Printf("  %#010x: %s\n", f.IAddrs[i], f.Insts[i].String())
+			fmt.Printf("  %#010x: %s\n", iaddr, f.Insts[i].String())
+			iaddr += uint64(f.Sizes[i])
 		}
 	}
 }

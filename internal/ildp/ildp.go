@@ -172,6 +172,9 @@ const (
 	ClassCopy                 // copy-to/from-GPR state/spill overhead
 	ClassChain                // fragment-chaining overhead (compare-and-branch, stubs, dispatch)
 	ClassSpecial              // set-VPC and friends
+
+	// NumClasses is the number of instruction classes.
+	NumClasses = iota
 )
 
 var classNames = [...]string{"core", "addr", "copy", "chain", "special"}
@@ -264,6 +267,9 @@ const (
 	UsageComm                           // used more than once before overwrite
 	UsageLocalGlobal                    // local, but saved to a GPR for an exit/PEI (Basic)
 	UsageNoUserGlobal                   // dead, but saved to a GPR for an exit/PEI (Basic)
+
+	// NumUsageClasses is the number of usage classes.
+	NumUsageClasses = iota
 )
 
 var usageNames = [...]string{

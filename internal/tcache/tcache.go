@@ -29,11 +29,17 @@ type Fragment struct {
 	VStart uint64
 	Insts  []ildp.Inst
 
-	// IAddr is the fragment's base I-address; IAddrs the per-instruction
-	// addresses (laid out by encoded size for I-cache modelling).
-	IAddr  uint64
-	IAddrs []uint64
-	Sizes  []uint8
+	// IAddr is the fragment's base I-address and Sizes the encoded size
+	// of each instruction; instruction i sits at IAddr plus the sizes
+	// of instructions 0 through i-1 (laid out by encoded size for
+	// I-cache modelling).
+	IAddr uint64
+	Sizes []uint8
+
+	// exits holds the static counts charged when control leaves the
+	// fragment, one entry per control-transfer position in order (see
+	// Exit).
+	exits []ExitCounts
 
 	PEI        []uint64
 	PEIRecover [][]translate.RegAcc
@@ -143,6 +149,93 @@ func (f *Fragment) StrandStats() (n, maxLen int) {
 	return f.strandN, f.strandMax
 }
 
+// MaxFragInsts is the longest fragment Install accepts: exit counts are
+// stored as uint16.
+const MaxFragInsts = 1<<16 - 1
+
+// ExitCounts is the static statistics contribution of executing a run
+// of I-instructions: how many ran, the V-instructions they retired, their
+// class and output-usage mix, and the state copies among them. Every
+// field is fixed per instruction, so the executor need not count as it
+// goes: it charges a fragment's prefix once, when control leaves it.
+type ExitCounts struct {
+	IInsts uint16
+	VInsts uint16
+	Copies uint16
+	Class  [ildp.NumClasses]uint16
+	Usage  [ildp.NumUsageClasses]uint16
+}
+
+// add counts one executed instruction. Install has checked that the
+// fields index in range and that the sums fit.
+func (e *ExitCounts) add(inst *ildp.Inst) {
+	e.IInsts++
+	e.VInsts += uint16(inst.VCredit)
+	e.Class[inst.Class]++
+	if inst.Usage != ildp.UsageNone {
+		e.Usage[inst.Usage]++
+	}
+	if inst.Kind == ildp.KindCopyToGPR || inst.Kind == ildp.KindCopyFromGPR {
+		e.Copies++
+	}
+}
+
+// exitCounts builds the per-exit prefix counts of an instruction stream:
+// one entry per control transfer, covering the instructions up to and
+// including it. It rejects streams whose counts a uint16 cannot hold or
+// whose class or usage fields are out of range.
+func exitCounts(insts []ildp.Inst) ([]ExitCounts, error) {
+	if len(insts) > MaxFragInsts {
+		return nil, fmt.Errorf("tcache: fragment of %d instructions exceeds the limit of %d", len(insts), MaxFragInsts)
+	}
+	n, credit := 0, 0
+	for i := range insts {
+		inst := &insts[i]
+		if int(inst.Class) >= ildp.NumClasses || int(inst.Usage) >= ildp.NumUsageClasses {
+			return nil, fmt.Errorf("tcache: instruction %d has class %v, usage %v", i, inst.Class, inst.Usage)
+		}
+		credit += int(inst.VCredit)
+		if inst.IsControl() {
+			n++
+		}
+	}
+	if credit > MaxFragInsts {
+		return nil, fmt.Errorf("tcache: fragment retires %d V-instructions, over the limit of %d", credit, MaxFragInsts)
+	}
+	exits := make([]ExitCounts, 0, n)
+	var run ExitCounts
+	for i := range insts {
+		run.add(&insts[i])
+		if insts[i].IsControl() {
+			exits = append(exits, run)
+		}
+	}
+	return exits, nil
+}
+
+// Exit returns the counts to charge when control leaves the fragment at
+// instruction idx, the fragment's ord-th control transfer (both counted
+// from 0). ok is false when idx is not that recorded position — the
+// instruction stream was changed after install — and the caller falls
+// back to Prefix.
+func (f *Fragment) Exit(ord, idx int) (e *ExitCounts, ok bool) {
+	if ord < len(f.exits) && int(f.exits[ord].IInsts) == idx+1 {
+		return &f.exits[ord], true
+	}
+	return nil, false
+}
+
+// Prefix counts instructions 0 through idx (clamped to the fragment) as
+// they stand now: the slow path for leaving anywhere but a recorded
+// exit, such as a precise trap at a load or store.
+func (f *Fragment) Prefix(idx int) ExitCounts {
+	var e ExitCounts
+	for i := range f.Insts[:min(idx+1, len(f.Insts))] {
+		e.add(&f.Insts[i])
+	}
+	return e
+}
+
 // Cache is the translation cache. It is unbounded, as in the paper (§4.1:
 // SPEC-sized programs fit comfortably; management overhead is negligible).
 type Cache struct {
@@ -153,6 +246,9 @@ type Cache struct {
 	pending  map[uint64][]patchSite // V-target -> unlinked exit sites
 	dispatch []ildp.Inst
 	dispAddr []uint64
+	// dispCounts is the dispatch routine's whole-run count, charged once
+	// per pass through it.
+	dispCounts ExitCounts
 
 	// Patches counts call-translator exits converted to direct branches.
 	Patches int
@@ -235,6 +331,7 @@ func (c *Cache) buildDispatch() {
 	for i := range c.dispatch {
 		c.dispAddr = append(c.dispAddr, c.next)
 		c.next += uint64(c.dispatch[i].EncodedSize(c.form))
+		c.dispCounts.add(&c.dispatch[i])
 	}
 	// Round up to a line-ish boundary.
 	c.next = (c.next + 63) &^ 63
@@ -242,6 +339,10 @@ func (c *Cache) buildDispatch() {
 
 // Dispatch returns the dispatch routine instructions and their I-addresses.
 func (c *Cache) Dispatch() ([]ildp.Inst, []uint64) { return c.dispatch, c.dispAddr }
+
+// DispatchCounts returns the counts of one run through the dispatch
+// routine, all of its instructions included.
+func (c *Cache) DispatchCounts() ExitCounts { return c.dispCounts }
 
 // Lookup returns the fragment translated from the given V-ISA address, or
 // nil (the PC translation lookup table of Fig. 3).
@@ -403,10 +504,15 @@ func (c *Cache) Reset() {
 }
 
 // Install places a translation into the cache: it assigns I-addresses,
-// links the new fragment's exits against already-translated targets, and
-// patches other fragments' pending exits that were waiting for this
-// fragment's start address.
+// records the per-exit counts, links the new fragment's exits against
+// already-translated targets, and patches other fragments' pending exits
+// that were waiting for this fragment's start address. A fragment longer
+// than MaxFragInsts is rejected.
 func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
+	exits, err := exitCounts(res.Insts)
+	if err != nil {
+		return nil, err
+	}
 	if c.capacity > 0 && c.CodeBytes()+res.CodeBytes > c.capacity && len(c.frags) > 0 {
 		c.Flush()
 	}
@@ -427,6 +533,8 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 		SrcBytes:     res.SrcBytes,
 		Straightened: res.Straightened,
 		IAddr:        c.next,
+		Sizes:        make([]uint8, len(res.Insts)),
+		exits:        exits,
 	}
 	form := c.form
 	for i := range f.Insts {
@@ -434,8 +542,7 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 		if f.Straightened {
 			size = alpha.InstBytes
 		}
-		f.IAddrs = append(f.IAddrs, c.next)
-		f.Sizes = append(f.Sizes, uint8(size))
+		f.Sizes[i] = uint8(size)
 		c.next += uint64(size)
 	}
 	c.next = (c.next + 63) &^ 63

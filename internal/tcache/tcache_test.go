@@ -63,12 +63,13 @@ func TestIAddrLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.IAddrs) != 3 || len(f.Sizes) != 3 {
-		t.Fatalf("layout arrays wrong: %d/%d", len(f.IAddrs), len(f.Sizes))
+	if len(f.Sizes) != 3 || cap(f.Sizes) != 3 {
+		t.Fatalf("size array wrong: len %d cap %d", len(f.Sizes), cap(f.Sizes))
 	}
-	for i := 1; i < len(f.IAddrs); i++ {
-		if f.IAddrs[i] != f.IAddrs[i-1]+uint64(f.Sizes[i-1]) {
-			t.Errorf("IAddr %d not contiguous", i)
+	// Instructions are laid out contiguously from IAddr by encoded size.
+	for i, size := range f.Sizes {
+		if want := f.Insts[i].EncodedSize(ildp.Modified); int(size) != want {
+			t.Errorf("Sizes[%d] = %d, want %d", i, size, want)
 		}
 	}
 	// Fragments start after the dispatch routine.
@@ -229,5 +230,89 @@ func TestFlushKeepsDispatch(t *testing.T) {
 	}
 	if f.IAddr <= afterAddrs[len(afterAddrs)-1] {
 		t.Error("post-flush fragment overlaps dispatch")
+	}
+}
+
+func TestExitCounts(t *testing.T) {
+	c := New(ildp.Modified)
+	copyInst := ildp.Inst{Kind: ildp.KindCopyToGPR, Acc: 0, Dest: alpha.RegT0,
+		Frag: ildp.NoFrag, Class: ildp.ClassCopy, Usage: ildp.UsageLiveOut}
+	core := alu()
+	core.VCredit = 1
+	core.Usage = ildp.UsageLocal
+	f, err := c.Install(res(0x1000, core, condExitTo(0x2000), copyInst, core, exitTo(0x3000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := f.Exit(0, 1)
+	if !ok {
+		t.Fatal("first control transfer not recorded")
+	}
+	want := ExitCounts{IInsts: 2, VInsts: 1}
+	want.Class[ildp.ClassCore] = 2
+	want.Usage[ildp.UsageLocal] = 1
+	if *e != want {
+		t.Errorf("exit 0 = %+v, want %+v", *e, want)
+	}
+	e, ok = f.Exit(1, 4)
+	if !ok {
+		t.Fatal("second control transfer not recorded")
+	}
+	want = ExitCounts{IInsts: 5, VInsts: 2, Copies: 1}
+	want.Class[ildp.ClassCore] = 4
+	want.Class[ildp.ClassCopy] = 1
+	want.Usage[ildp.UsageLocal] = 2
+	want.Usage[ildp.UsageLiveOut] = 1
+	if *e != want {
+		t.Errorf("exit 1 = %+v, want %+v", *e, want)
+	}
+	if got := f.Prefix(4); got != want {
+		t.Errorf("Prefix(4) = %+v, want the exit's %+v", got, want)
+	}
+	// Positions that are not the recorded exit fall back to Prefix.
+	for _, tc := range []struct{ ord, idx int }{{0, 2}, {1, 1}, {2, 4}, {5, 9}} {
+		if _, ok := f.Exit(tc.ord, tc.idx); ok {
+			t.Errorf("Exit(%d, %d) matched a recorded exit", tc.ord, tc.idx)
+		}
+	}
+	if got := f.Prefix(2); got.IInsts != 3 || got.Copies != 1 || got.VInsts != 1 {
+		t.Errorf("Prefix(2) = %+v", got)
+	}
+	if got := f.Prefix(99); got != want {
+		t.Errorf("Prefix past the end = %+v, want the whole fragment", got)
+	}
+	if got := f.Prefix(-1); got != (ExitCounts{}) {
+		t.Errorf("Prefix(-1) = %+v, want zero", got)
+	}
+}
+
+func TestDispatchCounts(t *testing.T) {
+	c := New(ildp.Basic)
+	d := c.DispatchCounts()
+	if d.IInsts != DispatchLen || d.Class[ildp.ClassChain] != DispatchLen || d.VInsts != 0 || d.Copies != 0 {
+		t.Errorf("dispatch counts %+v", d)
+	}
+}
+
+func TestInstallRejectsOversizedFragment(t *testing.T) {
+	c := New(ildp.Modified)
+	long := make([]ildp.Inst, MaxFragInsts+1)
+	for i := range long {
+		long[i] = alu()
+	}
+	if _, err := c.Install(res(0x1000, long...)); err == nil {
+		t.Error("fragment longer than MaxFragInsts installed")
+	}
+	bad := alu()
+	bad.Class = ildp.NumClasses
+	if _, err := c.Install(res(0x1000, bad, exitTo(0x2000))); err == nil {
+		t.Error("out-of-range class installed")
+	}
+	if c.Len() != 0 {
+		t.Errorf("rejected installs left %d fragments", c.Len())
+	}
+	// A fragment at the limit installs.
+	if _, err := c.Install(res(0x1000, long[:MaxFragInsts]...)); err != nil {
+		t.Errorf("fragment of MaxFragInsts rejected: %v", err)
 	}
 }

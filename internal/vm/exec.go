@@ -37,42 +37,79 @@ func (v *VM) profChain(kind prof.ChainKind) {
 // links, chaining code, the dual-address RAS, and the shared dispatch
 // routine, until control exits back to the VM. It returns the V-ISA
 // address at which interpretation (or further lookup) should continue.
+//
+// The loop pays only for what is attached. It builds a trace record only
+// when a sink is attached, and it does no per-instruction statistics:
+// the translated-instruction counts of a run through a fragment are
+// static, so they are charged once, from the fragment's exit-indexed
+// counts, when control leaves it (DESIGN.md §16).
 func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
-	frag.ExecCount++
-	v.Stats.FragEntries++
-	v.profEnter(frag)
-	idx := 0
-	peiIdx := 0
-
+	sink := v.cfg.Sink
+	var (
+		idx     int    // current instruction of frag
+		peiIdx  int    // PEI-table ordinal of the next load, store or core branch
+		exitIdx int    // ordinal of the next control transfer
+		iaddr   uint64 // I-address of frag.Insts[idx], kept only with a sink
+		recBuf  trace.Rec
+		// pending is true while frag.Insts[:idx+1] is not yet charged.
+		pending bool
+	)
+	// A return that leaves neither through a control transfer nor
+	// through a trap (a malformed fragment, or a semantic panic unwinding
+	// to Run) charges the executed prefix here, the failing instruction
+	// included.
+	defer func() {
+		if pending {
+			v.Stats.addCounts(frag.Prefix(idx))
+		}
+	}()
 	enterFrag := func(f *tcache.Fragment) {
 		frag = f
-		idx = 0
-		peiIdx = 0
+		idx, peiIdx, exitIdx = 0, 0, 0
+		iaddr = f.IAddr
+		pending = true
 		frag.ExecCount++
 		v.Stats.FragEntries++
 		v.profEnter(frag)
 	}
+	// leave charges the prefix ending at the control transfer at idx. It
+	// runs before anything that can observe Stats as control leaves the
+	// fragment: takeBranch's dispatch and recovery hooks, fragUsable's
+	// watchdog, Poll and Stop, and the profiler.
+	leave := func() {
+		pending = false
+		if e, ok := frag.Exit(exitIdx, idx); ok {
+			v.Stats.addCounts(*e)
+			return
+		}
+		v.Stats.addCounts(frag.Prefix(idx))
+	}
+	// trap charges the prefix ending at a load or store that faulted. The
+	// faulting I-instruction counts as executed, but its own V-instruction
+	// did not retire: it carries one credit (any more belong to earlier
+	// straightened-away branches), which is held back so TotalVInsts
+	// equals the interpreter's count at the same trap.
+	trap := func(inst *ildp.Inst) {
+		pending = false
+		e := frag.Prefix(idx)
+		if inst.VCredit > 0 {
+			e.VInsts--
+		}
+		v.Stats.addCounts(e)
+	}
+	enterFrag(frag)
 
 	for {
 		if idx >= len(frag.Insts) {
 			return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
 		}
 		inst := &frag.Insts[idx]
-		iaddr := frag.IAddrs[idx]
-		size := frag.Sizes[idx]
-		isPEI := peiPoint(inst)
-
-		v.Stats.TransIInsts++
-		v.Stats.TransVInsts += uint64(inst.VCredit)
-		v.Stats.ClassCounts[inst.Class]++
-		if inst.Usage != ildp.UsageNone {
-			v.Stats.UsageDyn[inst.Usage]++
+		var rec *trace.Rec
+		if sink != nil {
+			recBuf = v.newRec(inst, iaddr, frag.Sizes[idx])
+			rec = &recBuf
+			iaddr += uint64(frag.Sizes[idx])
 		}
-		if inst.Kind == ildp.KindCopyToGPR || inst.Kind == ildp.KindCopyFromGPR {
-			v.Stats.CopiesExecuted++
-		}
-
-		rec := v.newRec(inst, iaddr, size)
 
 		switch inst.Kind {
 		case ildp.KindALU:
@@ -97,11 +134,11 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
 			val, err := emu.LoadMem(v.mem, inst.Op, addr)
 			if err != nil {
+				trap(inst)
 				return 0, v.preciseTrap(frag, peiIdx, inst, err)
 			}
-			rec.MemAddr = addr
-			if inst.Op == alpha.OpLDQU {
-				rec.MemAddr = addr &^ 7
+			if rec != nil {
+				rec.MemAddr = recMemAddr(inst.Op == alpha.OpLDQU, addr)
 			}
 			if inst.WritesAcc {
 				v.acc[inst.Acc] = val
@@ -114,11 +151,11 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
 			data := v.readSrc(inst, inst.SrcB)
 			if err := emu.StoreMem(v.mem, inst.Op, addr, data); err != nil {
+				trap(inst)
 				return 0, v.preciseTrap(frag, peiIdx, inst, err)
 			}
-			rec.MemAddr = addr
-			if inst.Op == alpha.OpSTQU {
-				rec.MemAddr = addr &^ 7
+			if rec != nil {
+				rec.MemAddr = recMemAddr(inst.Op == alpha.OpSTQU, addr)
 			}
 
 		case ildp.KindCopyToGPR:
@@ -144,49 +181,36 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			}
 			v.ras.push(inst.VAddr, target)
 
-		case ildp.KindCondBranch, ildp.KindCallTransCond:
-			taken := emu.EvalCond(inst.Op, v.readSrc(inst, inst.SrcA))
-			rec.Taken = taken
-			if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
-				// Software jump prediction verdict.
-				if taken {
-					v.Stats.SWPredMisses++
-					v.profChain(prof.ChainSWPredMiss)
-				} else {
-					v.Stats.SWPredHits++
-					v.profChain(prof.ChainSWPredHit)
+		case ildp.KindCondBranch, ildp.KindCallTransCond, ildp.KindBranch, ildp.KindCallTrans:
+			taken := true
+			if inst.Kind == ildp.KindCondBranch || inst.Kind == ildp.KindCallTransCond {
+				taken = emu.EvalCond(inst.Op, v.readSrc(inst, inst.SrcA))
+				if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
+					// Software jump prediction verdict.
+					if taken {
+						v.Stats.SWPredMisses++
+						v.profChain(prof.ChainSWPredMiss)
+					} else {
+						v.Stats.SWPredHits++
+						v.profChain(prof.ChainSWPredHit)
+					}
 				}
 			}
-			if taken {
-				next, exitV, err := v.takeBranch(inst, &rec)
-				if err != nil {
-					return 0, err
-				}
-				if next == nil {
-					v.finishRec(&rec, true)
-					v.profExit(prof.ExitVM)
-					return exitV, nil
-				}
-				v.finishRec(&rec, false)
-				if isPEI {
-					peiIdx++
-				}
-				enterFrag(next)
-				continue
+			if !taken {
+				exitIdx++
+				break
 			}
-
-		case ildp.KindBranch, ildp.KindCallTrans:
-			rec.Taken = true
-			next, exitV, err := v.takeBranch(inst, &rec)
-			if err != nil {
-				return 0, err
+			if rec != nil {
+				rec.Taken = true
 			}
+			leave()
+			next, exitV := v.takeBranch(inst, rec)
 			if next == nil {
-				v.finishRec(&rec, true)
+				v.finishRec(rec, true)
 				v.profExit(prof.ExitVM)
 				return exitV, nil
 			}
-			v.finishRec(&rec, false)
+			v.finishRec(rec, false)
 			enterFrag(next)
 			continue
 
@@ -197,14 +221,17 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 				if f := v.tc.Frag(entry.frag); f != nil && f.VStart == entry.v {
 					v.Stats.RASHits++
 					v.profChain(prof.ChainRASHit)
-					rec.Taken = true
-					rec.PredHit = true
-					rec.Target = f.IAddr
+					if rec != nil {
+						rec.Taken = true
+						rec.PredHit = true
+						rec.Target = f.IAddr
+					}
+					leave()
 					if !v.fragUsable(f) {
-						v.finishRec(&rec, true)
+						v.finishRec(rec, true)
 						return entry.v, nil
 					}
-					v.finishRec(&rec, false)
+					v.finishRec(rec, false)
 					enterFrag(f)
 					continue
 				}
@@ -214,116 +241,148 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			v.Stats.RASMisses++
 			v.profChain(prof.ChainRASMiss)
 			v.writeGPR(ildp.RegJTarget, target)
-			rec.Taken = false
+			exitIdx++
 
 		case ildp.KindDispatchOp:
 			// Dispatch body work; the lookup happens at the final jump.
 
 		case ildp.KindJumpInd:
-			target := v.readGPR(ildp.RegJTarget)
-			v.Stats.DispatchRuns++
-			rec.Taken = true
-			if f := v.tc.Lookup(target); f != nil {
-				v.Stats.DispatchHits++
-				v.profChain(prof.ChainDispatchHit)
-				rec.Target = f.IAddr
-				if !v.fragUsable(f) {
-					v.finishRec(&rec, true)
-					return target, nil
-				}
-				v.finishRec(&rec, false)
-				enterFrag(f)
-				continue
+			leave()
+			f, exitV, miss := v.dispatchJump(rec)
+			if miss {
+				v.profExit(prof.ExitVM)
 			}
-			v.profChain(prof.ChainDispatchMiss)
-			v.finishRec(&rec, true)
-			v.profExit(prof.ExitVM)
-			return target, nil
+			if f == nil {
+				return exitV, nil
+			}
+			enterFrag(f)
+			continue
 
 		default:
 			return 0, fmt.Errorf("vm: cannot execute %v", inst.Kind)
 		}
 
-		v.finishRec(&rec, false)
-		if isPEI {
+		v.finishRec(rec, false)
+		if peiPoint(inst) {
 			peiIdx++
 		}
 		idx++
 	}
 }
 
+// addCounts charges an executed run of translated instructions.
+func (s *Stats) addCounts(e tcache.ExitCounts) {
+	s.TransIInsts += uint64(e.IInsts)
+	s.TransVInsts += uint64(e.VInsts)
+	s.CopiesExecuted += uint64(e.Copies)
+	for c, n := range e.Class {
+		s.ClassCounts[c] += uint64(n)
+	}
+	for u, n := range e.Usage {
+		s.UsageDyn[u] += uint64(n)
+	}
+}
+
+// recMemAddr is the trace record's memory address: unaligned quadword
+// accesses touch the aligned quadword.
+func recMemAddr(unaligned bool, addr uint64) uint64 {
+	if unaligned {
+		return addr &^ 7
+	}
+	return addr
+}
+
 // takeBranch resolves a taken control transfer: into another fragment,
 // into the shared dispatch routine, or out to the VM (call-translator).
-// A nil fragment with err == nil means exit to the VM at exitV.
-func (v *VM) takeBranch(inst *ildp.Inst, rec *trace.Rec) (*tcache.Fragment, uint64, error) {
+// A nil fragment means exit to the VM at exitV. rec is nil when no sink
+// is attached.
+func (v *VM) takeBranch(inst *ildp.Inst, rec *trace.Rec) (f *tcache.Fragment, exitV uint64) {
 	switch {
 	case inst.Frag == ildp.FragDispatch:
 		v.cfg.Prof.EnterDispatch(v.Stats.TransIInsts, v.Stats.TransVInsts)
-		f, exitV, err := v.runDispatch()
-		if err != nil {
-			return nil, 0, err
-		}
-		if f != nil {
+		f, exitV = v.runDispatch()
+		if rec != nil {
 			rec.Target = dispatchEntry(v.tc)
-			return f, 0, nil
 		}
-		rec.Target = dispatchEntry(v.tc)
-		return nil, exitV, nil
+		return f, exitV
 	case inst.Frag >= 0:
-		f := v.tc.Frag(inst.Frag)
+		f = v.tc.Frag(inst.Frag)
 		if f == nil || f.VStart != inst.VAddr {
 			// Stale link: the target was invalidated (or its ID slot
 			// reused) after this branch was patched. Recover by exiting to
 			// the VM at the architected target, which the patch preserved.
 			v.Stats.StaleLinks++
 			v.noteRecovery("stale link", inst.VAddr)
-			return nil, inst.VAddr, nil
+			return nil, inst.VAddr
 		}
 		v.profChain(prof.ChainDirect)
-		rec.Target = f.IAddr
-		if !v.fragUsable(f) {
-			return nil, f.VStart, nil
+		if rec != nil {
+			rec.Target = f.IAddr
 		}
-		return f, 0, nil
+		if !v.fragUsable(f) {
+			return nil, f.VStart
+		}
+		return f, 0
 	default:
 		// Call-translator: exit to the VM at the V-ISA target.
-		return nil, inst.VAddr, nil
+		return nil, inst.VAddr
 	}
 }
 
-// runDispatch executes the shared dispatch routine (its 20 instructions
-// enter the trace) and performs the PC-translation-table lookup at its
-// final indirect jump.
-func (v *VM) runDispatch() (*tcache.Fragment, uint64, error) {
+// runDispatch executes the shared dispatch routine and performs the
+// PC-translation-table lookup at its final indirect jump. Its counts are
+// charged as one run; its 20 instructions enter the trace one by one
+// when a sink is attached.
+func (v *VM) runDispatch() (*tcache.Fragment, uint64) {
 	insts, addrs := v.tc.Dispatch()
-	for i := range insts {
-		inst := &insts[i]
-		v.Stats.TransIInsts++
-		v.Stats.ClassCounts[inst.Class]++
-		rec := v.newRec(inst, addrs[i], uint8(inst.EncodedSize(ildp.Modified)))
-		if inst.Kind == ildp.KindJumpInd {
-			target := v.readGPR(ildp.RegJTarget)
-			v.Stats.DispatchRuns++
-			rec.Taken = true
-			if f := v.tc.Lookup(target); f != nil {
-				v.Stats.DispatchHits++
-				v.profChain(prof.ChainDispatchHit)
-				rec.Target = f.IAddr
-				if !v.fragUsable(f) {
-					v.finishRec(&rec, true)
-					return nil, target, nil
-				}
-				v.finishRec(&rec, false)
-				return f, 0, nil
+	last := len(insts) - 1
+	v.Stats.addCounts(v.tc.DispatchCounts())
+	var (
+		rec    *trace.Rec
+		recBuf trace.Rec
+	)
+	if v.cfg.Sink != nil {
+		rec = &recBuf
+		for i := range insts {
+			*rec = v.newRec(&insts[i], addrs[i], uint8(insts[i].EncodedSize(ildp.Modified)))
+			if i < last {
+				v.finishRec(rec, false)
 			}
-			// The caller's exit-to-VM path closes the dispatch frame.
-			v.profChain(prof.ChainDispatchMiss)
-			v.finishRec(&rec, true)
-			return nil, target, nil
 		}
-		v.finishRec(&rec, false)
 	}
-	return nil, 0, fmt.Errorf("vm: dispatch routine has no terminal jump")
+	f, exitV, _ := v.dispatchJump(rec)
+	return f, exitV
+}
+
+// dispatchJump performs the dispatch routine's final indirect jump: the
+// PC-translation-table lookup of the latched target. It returns the
+// fragment to enter, or nil and the V-ISA address at which to exit to the
+// VM; miss reports a failed lookup. It emits rec, the jump's trace
+// record (nil without a sink).
+func (v *VM) dispatchJump(rec *trace.Rec) (f *tcache.Fragment, exitV uint64, miss bool) {
+	target := v.readGPR(ildp.RegJTarget)
+	v.Stats.DispatchRuns++
+	if rec != nil {
+		rec.Taken = true
+	}
+	f = v.tc.Lookup(target)
+	if f == nil {
+		// The caller's exit-to-VM path closes the dispatch frame.
+		v.profChain(prof.ChainDispatchMiss)
+		v.finishRec(rec, true)
+		return nil, target, true
+	}
+	v.Stats.DispatchHits++
+	v.profChain(prof.ChainDispatchHit)
+	if rec != nil {
+		rec.Target = f.IAddr
+	}
+	if !v.fragUsable(f) {
+		v.finishRec(rec, true)
+		return nil, target, false
+	}
+	v.finishRec(rec, false)
+	return f, 0, false
 }
 
 // preciseTrap recovers the precise V-ISA state for a trap inside
@@ -476,9 +535,11 @@ func recClass(inst *ildp.Inst) trace.Class {
 
 // finishRec completes and emits a trace record. endOfRun marks the final
 // record of a translated-execution episode (the timing models drain and
-// restart with an empty pipeline across mode switches, as in §4.1).
+// restart with an empty pipeline across mode switches, as in §4.1). rec
+// is nil when no sink is attached; the call inlines, so the no-sink path
+// pays one nil test and no call.
 func (v *VM) finishRec(rec *trace.Rec, endOfRun bool) {
-	if v.cfg.Sink == nil {
+	if rec == nil {
 		return
 	}
 	if endOfRun {

@@ -215,8 +215,8 @@ type Stats struct {
 	TransVInsts uint64 // V-ISA instructions retired in translated code
 	TransIInsts uint64 // I-ISA instructions executed in translated code
 
-	ClassCounts [5]uint64 // dynamic I-instructions by ildp.Class
-	UsageDyn    [8]uint64 // dynamic producing instructions by usage class
+	ClassCounts [ildp.NumClasses]uint64      // dynamic I-instructions by ildp.Class
+	UsageDyn    [ildp.NumUsageClasses]uint64 // dynamic producing instructions by usage class
 
 	CopiesExecuted uint64
 
