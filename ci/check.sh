@@ -40,9 +40,13 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve)"
+echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve, mem, emu)"
+# mem and emu are here because reads write state: every Memory access
+# updates its page cache, so a Memory (and the CPU using it) must stay on
+# one goroutine.
 go test -race ./internal/vm/... ./internal/tcache/... ./internal/fragstore/... \
-    ./internal/metrics/... ./internal/telemetry/... ./internal/serve/...
+    ./internal/metrics/... ./internal/telemetry/... ./internal/serve/... \
+    ./internal/mem/... ./internal/emu/...
 
 echo "== chaos smoke (short soak under the race detector)"
 # A fixed-seed slice of the differential chaos oracle: fault-injected
@@ -77,6 +81,12 @@ echo "== flight bundle decoder fuzz (5s)"
 # decode to a bundle whose re-encoding is byte-identical, or fail with a
 # typed *flight.Error — never a panic.
 go test -run='^$' -fuzz=FuzzFlightDecode -fuzztime=5s ./internal/flight/
+
+echo "== program image loader fuzz (5s)"
+# Arbitrary bytes either load to a program that round-trips through Save
+# and maps without wrapping past 2^64, or fail wrapping ErrBadImage —
+# never a panic.
+go test -run='^$' -fuzz=FuzzImageLoad -fuzztime=5s ./internal/alphaprog/
 
 echo "== semcheck fuzz (5s)"
 # Arbitrary decodable superblocks through the real translator

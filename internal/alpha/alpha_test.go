@@ -97,9 +97,6 @@ func TestDecodeKnownEncodings(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTripMem(t *testing.T) {
-	for op := range memOps {
-		_ = op
-	}
 	ops := []Op{OpLDA, OpLDAH, OpLDBU, OpLDWU, OpLDL, OpLDQ, OpLDQU, OpSTB, OpSTW, OpSTL, OpSTQ}
 	for _, op := range ops {
 		w, err := EncodeMem(op, 5, 30, -256)

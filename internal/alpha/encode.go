@@ -9,22 +9,31 @@ type encInfo struct {
 	format Format
 }
 
+// encTable is the inverse of the decode tables (primary, operateOps,
+// miscOps, jumpOps), built from them so that encode and decode share one
+// definition of the instruction set.
 var encTable = map[Op]encInfo{}
 
 func init() {
-	for opc, op := range memOps {
-		encTable[op] = encInfo{opcode: opc, format: FormatMemory}
-	}
-	for opc, op := range branchOps {
-		encTable[op] = encInfo{opcode: opc, format: FormatBranch}
-	}
-	for opc, table := range operateTables {
-		for fn, op := range table {
-			encTable[op] = encInfo{opcode: opc, fn: fn, format: FormatOperate}
+	for opc, e := range primary {
+		switch e.class {
+		case classMemory:
+			encTable[e.op] = encInfo{opcode: uint32(opc), format: FormatMemory}
+		case classBranch:
+			encTable[e.op] = encInfo{opcode: uint32(opc), format: FormatBranch}
 		}
 	}
-	for fn, op := range miscOps {
-		encTable[op] = encInfo{opcode: opcMISC, fn: fn, format: FormatMemFunc}
+	for i, table := range operateOps {
+		for fn, op := range table {
+			if op != OpInvalid {
+				encTable[op] = encInfo{opcode: opcINTA + uint32(i), fn: uint32(fn), format: FormatOperate}
+			}
+		}
+	}
+	for i, op := range miscOps {
+		if op != OpInvalid {
+			encTable[op] = encInfo{opcode: opcMISC, fn: uint32(i) << 10, format: FormatMemFunc}
+		}
 	}
 	for i, op := range jumpOps {
 		encTable[op] = encInfo{opcode: opcJSR, fn: uint32(i), format: FormatMemJump}

@@ -68,7 +68,7 @@ func Load(r io.Reader) (*Program, error) {
 		off += size
 	}
 	if !p.Normalize() {
-		return nil, fmt.Errorf("%w: overlapping segments", ErrBadImage)
+		return nil, fmt.Errorf("%w: overlapping or wrapping segments", ErrBadImage)
 	}
 	return p, nil
 }

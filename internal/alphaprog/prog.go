@@ -25,13 +25,21 @@ func (p *Program) TotalBytes() int {
 	return n
 }
 
-// Normalize sorts segments by address and reports whether any overlap.
+// Normalize sorts segments by address and reports whether they are
+// disjoint: no two overlap, and none wraps past the top of the 64-bit
+// address space (a wrapping segment's tail would land on address 0).
+// The checks never compute an end address that could overflow.
 func (p *Program) Normalize() bool {
 	sort.Slice(p.Segments, func(i, j int) bool { return p.Segments[i].Addr < p.Segments[j].Addr })
-	for i := 1; i < len(p.Segments); i++ {
-		prev, cur := p.Segments[i-1], p.Segments[i]
-		if prev.Addr+uint64(len(prev.Data)) > cur.Addr {
+	for i, cur := range p.Segments {
+		if n := uint64(len(cur.Data)); n > 0 && cur.Addr+n-1 < cur.Addr {
 			return false
+		}
+		if i > 0 {
+			prev := p.Segments[i-1]
+			if cur.Addr-prev.Addr < uint64(len(prev.Data)) {
+				return false
+			}
 		}
 	}
 	return true

@@ -34,6 +34,10 @@ var (
 // before the program halts.
 var ErrInstLimit = errors.New("instruction limit reached")
 
+// decodeSlots is the size of the CPU's decoded-instruction slot table.
+// It must be a power of two.
+const decodeSlots = 256
+
 // CPU is the architected state of an Alpha processor plus a little console
 // for the PAL putchar surface. The zero value is not usable; call New.
 type CPU struct {
@@ -54,6 +58,15 @@ type CPU struct {
 	// lockFlag models LDx_L/STx_C on a uniprocessor.
 	lockFlag bool
 	lockAddr uint64
+
+	// decoded is a direct-mapped table of decoded instructions indexed
+	// by (PC>>2)&(decodeSlots-1). A slot is reused only when its Raw
+	// equals the word just fetched; Decode is a pure function of the
+	// word, so a store that rewrites code is seen at the next fetch with
+	// no invalidation. The table is not architected state and is not
+	// checkpointed. An OpInvalid slot is never reused, so the zero table
+	// cannot pass for a decoded word 0 (call_pal halt).
+	decoded [decodeSlots]alpha.Inst
 }
 
 // New returns a CPU with the given memory, PC 0, and all registers zero.
@@ -93,13 +106,20 @@ func (c *CPU) WriteReg(r alpha.Reg, v uint64) {
 }
 
 // FetchDecode fetches and decodes the instruction at PC without executing
-// it.
-func (c *CPU) FetchDecode() (alpha.Inst, error) {
-	w, err := c.Mem.Read32(c.PC)
+// it. The word is read from memory on every call; it is decoded only
+// when the PC's slot holds a different word. The returned instruction
+// lives in that slot: it is valid until the next FetchDecode and must
+// not be modified.
+func (c *CPU) FetchDecode() (*alpha.Inst, error) {
+	w, err := c.Mem.Fetch32(c.PC)
 	if err != nil {
-		return alpha.Inst{}, &Trap{PC: c.PC, Cause: err}
+		return nil, &Trap{PC: c.PC, Cause: err}
 	}
-	return alpha.Decode(alpha.Word(w)), nil
+	s := &c.decoded[(c.PC>>2)&(decodeSlots-1)]
+	if s.Raw != alpha.Word(w) || s.Op == alpha.OpInvalid {
+		*s = alpha.Decode(alpha.Word(w))
+	}
+	return s, nil
 }
 
 // Step fetches, decodes, and executes one instruction.
@@ -128,7 +148,7 @@ func (c *CPU) Run(max int64) error {
 // Exec executes a single decoded instruction, updating PC and state. A
 // returned error is always a *Trap; architected state is exactly the state
 // before the faulting instruction (precise).
-func (c *CPU) Exec(inst alpha.Inst) error {
+func (c *CPU) Exec(inst *alpha.Inst) error {
 	pc := c.PC
 	next := pc + alpha.InstBytes
 
@@ -189,7 +209,7 @@ func (c *CPU) Exec(inst alpha.Inst) error {
 	return nil
 }
 
-func (c *CPU) execMemory(inst alpha.Inst, pc uint64) error {
+func (c *CPU) execMemory(inst *alpha.Inst, pc uint64) error {
 	switch inst.Op {
 	case alpha.OpLDA:
 		c.WriteReg(inst.Ra, c.ReadReg(inst.Rb)+uint64(int64(inst.Disp)))
@@ -297,7 +317,7 @@ func (c *CPU) execMemory(inst alpha.Inst, pc uint64) error {
 	return nil
 }
 
-func (c *CPU) execPAL(inst alpha.Inst, pc uint64) error {
+func (c *CPU) execPAL(inst *alpha.Inst, pc uint64) error {
 	switch inst.PALFn {
 	case alpha.PALHalt:
 		c.Halted = true

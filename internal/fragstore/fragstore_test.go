@@ -208,8 +208,9 @@ func TestDoSingleflight(t *testing.T) {
 	}
 
 	// A second Do by the translating caller is a hit but not a shared
-	// one; by anyone else, shared.
-	if _, hit, shared, _ := s.Do(key, content, 0, nil); !hit || !shared {
+	// one; by anyone else, shared. Which goroutine translated is up to
+	// the scheduler, so the non-creator is a caller that never called.
+	if _, hit, shared, _ := s.Do(key, content, callers, nil); !hit || !shared {
 		t.Fatalf("hit=%v shared=%v for a non-creator caller", hit, shared)
 	}
 }

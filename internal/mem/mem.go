@@ -6,7 +6,10 @@
 // tests).
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Page geometry.
 const (
@@ -60,10 +63,33 @@ func (f *AlignmentFault) Error() string {
 	return fmt.Sprintf("alignment fault: %d-byte access at %#x", f.Size, f.Addr)
 }
 
+// RangeError reports an address range that wraps past the top of the
+// 64-bit address space. Map refuses such a range instead of mapping
+// part of it, so a segment near 2^64 can never spill onto address 0.
+type RangeError struct {
+	Addr uint64
+	Size uint64
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("memory range error: %d bytes at %#x wrap past the top of the address space",
+		e.Size, e.Addr)
+}
+
 // Memory is a sparse paged memory. The zero value is a usable relaxed-mode
 // memory.
+//
+// A Memory is not safe for concurrent use, not even by readers only:
+// every access, reads included, updates the page cache. Equal,
+// Snapshot, Mapped and PageCount read only the page map.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+	// data and fetch cache the page last touched by data accesses and by
+	// instruction fetch (Fetch32), in front of the pages map. Two
+	// entries, so that a loop's code page and data page do not evict
+	// each other. An entry only ever names a mapped page, and only
+	// LoadSnapshot removes pages, so only LoadSnapshot resets them.
+	data, fetch pageEntry
 	// Strict, when true, makes access to unmapped pages fault rather than
 	// allocate.
 	Strict bool
@@ -77,7 +103,27 @@ type Memory struct {
 // New returns an empty relaxed-mode memory.
 func New() *Memory { return &Memory{pages: map[uint64]*[PageSize]byte{}} }
 
-func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, error) {
+// pageEntry caches one page-number to page lookup; p == nil is empty.
+type pageEntry struct {
+	pn uint64
+	p  *[PageSize]byte
+}
+
+// page returns the page holding addr through the cache entry e, falling
+// back to the pages map (and allocation) on a miss.
+func (m *Memory) page(e *pageEntry, addr uint64, write bool) (*[PageSize]byte, error) {
+	if e.p != nil && e.pn == addr>>PageBits {
+		return e.p, nil
+	}
+	p, err := m.lookup(addr, write, false)
+	if err == nil {
+		e.pn, e.p = addr>>PageBits, p
+	}
+	return p, err
+}
+
+// lookup finds or allocates the page holding addr in the pages map.
+func (m *Memory) lookup(addr uint64, write bool, allocate bool) (*[PageSize]byte, error) {
 	if m.pages == nil {
 		m.pages = map[uint64]*[PageSize]byte{}
 	}
@@ -98,13 +144,17 @@ func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, 
 
 // Map ensures [addr, addr+size) is mapped (zero-filled), regardless of
 // Strict mode. It fails with a ResourceFault when mapping would exceed
-// the page Limit; pages mapped before the fault stay mapped.
+// the page Limit; pages mapped before the fault stay mapped. A range
+// that wraps past 2^64 fails with a RangeError and maps nothing.
 func (m *Memory) Map(addr, size uint64) error {
 	if size == 0 {
 		return nil
 	}
+	if addr+size-1 < addr {
+		return &RangeError{Addr: addr, Size: size}
+	}
 	for pn := addr >> PageBits; pn <= (addr+size-1)>>PageBits; pn++ {
-		if _, err := m.page(pn<<PageBits, true, true); err != nil {
+		if _, err := m.lookup(pn<<PageBits, true, true); err != nil {
 			return err
 		}
 	}
@@ -173,6 +223,7 @@ func (m *Memory) Snapshot() map[uint64][PageSize]byte {
 // previously mapped page not in the snapshot is unmapped. The snapshot
 // is copied, so later writes to the memory do not alias it.
 func (m *Memory) LoadSnapshot(pages map[uint64][PageSize]byte) {
+	m.data, m.fetch = pageEntry{}, pageEntry{}
 	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
 	for pn, data := range pages {
 		p := data
@@ -180,32 +231,43 @@ func (m *Memory) LoadSnapshot(pages map[uint64][PageSize]byte) {
 	}
 }
 
-// Read8s copies n bytes starting at addr into a fresh slice.
+// Read8s copies n bytes starting at addr into a fresh slice, one page at
+// a time. A fault is the one the first byte of the failing page would
+// raise on its own.
 func (m *Memory) Read8s(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := m.Read8(addr + uint64(i))
+	for i := 0; i < n; {
+		p, err := m.page(&m.data, addr, false)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = b
+		c := copy(out[i:], p[addr&pageMask:])
+		i += c
+		addr += uint64(c)
 	}
 	return out, nil
 }
 
-// Write8s stores b at addr.
+// Write8s stores b at addr, one page at a time. On a fault the pages
+// before the failing one are written, exactly as a byte-by-byte store
+// loop would leave them, and the fault names the failing page's first
+// byte in the range.
 func (m *Memory) Write8s(addr uint64, b []byte) error {
-	for i, v := range b {
-		if err := m.Write8(addr+uint64(i), v); err != nil {
+	for len(b) > 0 {
+		p, err := m.page(&m.data, addr, true)
+		if err != nil {
 			return err
 		}
+		c := copy(p[addr&pageMask:], b)
+		b = b[c:]
+		addr += uint64(c)
 	}
 	return nil
 }
 
 // Read8 loads one byte.
 func (m *Memory) Read8(addr uint64) (byte, error) {
-	p, err := m.page(addr, false, false)
+	p, err := m.page(&m.data, addr, false)
 	if err != nil {
 		return 0, err
 	}
@@ -214,7 +276,7 @@ func (m *Memory) Read8(addr uint64) (byte, error) {
 
 // Write8 stores one byte.
 func (m *Memory) Write8(addr uint64, v byte) error {
-	p, err := m.page(addr, true, false)
+	p, err := m.page(&m.data, addr, true)
 	if err != nil {
 		return err
 	}
@@ -222,21 +284,24 @@ func (m *Memory) Write8(addr uint64, v byte) error {
 	return nil
 }
 
-// read reads a naturally-aligned little-endian value of the given size.
-func (m *Memory) read(addr uint64, size int) (uint64, error) {
+// read reads a naturally-aligned little-endian value of the given size
+// through the cache entry e.
+func (m *Memory) read(e *pageEntry, addr uint64, size int) (uint64, error) {
 	if addr&uint64(size-1) != 0 {
 		return 0, &AlignmentFault{Addr: addr, Size: size}
 	}
-	p, err := m.page(addr, false, false)
+	p, err := m.page(e, addr, false)
 	if err != nil {
 		return 0, err
 	}
-	off := addr & pageMask
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(p[off+uint64(i)])
+	b := p[addr&pageMask:]
+	switch size {
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b)), nil
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b)), nil
 	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // write stores a naturally-aligned little-endian value of the given size.
@@ -244,32 +309,45 @@ func (m *Memory) write(addr uint64, size int, v uint64) error {
 	if addr&uint64(size-1) != 0 {
 		return &AlignmentFault{Addr: addr, Size: size}
 	}
-	p, err := m.page(addr, true, false)
+	p, err := m.page(&m.data, addr, true)
 	if err != nil {
 		return err
 	}
-	off := addr & pageMask
-	for i := 0; i < size; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
+	b := p[addr&pageMask:]
+	switch size {
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
 	}
 	return nil
 }
 
 // Read16 loads an aligned little-endian 16-bit value.
 func (m *Memory) Read16(addr uint64) (uint16, error) {
-	v, err := m.read(addr, 2)
+	v, err := m.read(&m.data, addr, 2)
 	return uint16(v), err
 }
 
 // Read32 loads an aligned little-endian 32-bit value.
 func (m *Memory) Read32(addr uint64) (uint32, error) {
-	v, err := m.read(addr, 4)
+	v, err := m.read(&m.data, addr, 4)
+	return uint32(v), err
+}
+
+// Fetch32 is Read32 for instruction fetch: same result and same faults,
+// but it caches its page in an entry of its own, so the data accesses of
+// the instructions it fetches do not evict the code page.
+func (m *Memory) Fetch32(addr uint64) (uint32, error) {
+	v, err := m.read(&m.fetch, addr, 4)
 	return uint32(v), err
 }
 
 // Read64 loads an aligned little-endian 64-bit value.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
-	return m.read(addr, 8)
+	return m.read(&m.data, addr, 8)
 }
 
 // Write16 stores an aligned little-endian 16-bit value.

@@ -614,7 +614,7 @@ func (v *VM) interpStep() error {
 
 	// Trap-class instructions end superblock collection before executing
 	// (§3.1); they are always interpreted.
-	if v.recording && isTraceBarrier(&inst) {
+	if v.recording && isTraceBarrier(inst) {
 		if err := v.finishRecording(translate.EndTrap, pc); err != nil {
 			return err
 		}
@@ -645,7 +645,7 @@ func (v *VM) interpStep() error {
 	next := v.cpu.PC
 
 	if v.cfg.InterpSink != nil {
-		rec := alphaRec(&inst, pc, next)
+		rec := alphaRec(inst, pc, next)
 		rec.MemAddr = memAddr
 		v.cfg.InterpSink.Append(rec)
 	}
@@ -653,7 +653,7 @@ func (v *VM) interpStep() error {
 	taken := inst.IsBranch() && next != pc+alpha.InstBytes
 
 	if v.recording {
-		rec := translate.SBInst{PC: pc, Inst: inst}
+		rec := translate.SBInst{PC: pc, Inst: *inst}
 		if inst.IsCondBranch() {
 			rec.Taken = taken
 		}
