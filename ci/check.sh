@@ -27,9 +27,10 @@ echo "== ildpanalyze (project linters)"
 go run ./cmd/ildpanalyze ./internal/... ./cmd/...
 # The opt-in godoc gate: every exported symbol of the cache surface
 # (the per-VM cache and the shared persistent store), the telemetry
-# plane, and the serving scheduler carries a doc comment.
+# plane, the serving scheduler, the shared codec frame and the shared
+# generator carries a doc comment.
 go run ./cmd/ildpanalyze -select exporteddoc ./internal/tcache ./internal/fragstore \
-    ./internal/telemetry ./internal/serve
+    ./internal/telemetry ./internal/serve ./internal/codec ./internal/rng
 
 echo "== go vet"
 go vet ./...
@@ -79,7 +80,7 @@ go test -run='^$' -fuzz=FuzzFragstoreDecode -fuzztime=5s ./internal/fragstore/
 echo "== flight bundle decoder fuzz (5s)"
 # Arbitrary bytes, as given and resealed with a valid checksum, either
 # decode to a bundle whose re-encoding is byte-identical, or fail with a
-# typed *flight.Error — never a panic.
+# typed *codec.Error — never a panic.
 go test -run='^$' -fuzz=FuzzFlightDecode -fuzztime=5s ./internal/flight/
 
 echo "== program image loader fuzz (5s)"

@@ -42,35 +42,6 @@ import (
 // results stay on stdout in their fixed format.
 var logger *slog.Logger
 
-var allMachines = []experiments.Machine{
-	experiments.Original,
-	experiments.Straightened,
-	experiments.ILDPBasic,
-	experiments.ILDPModified,
-}
-
-func parseMachines(s string) ([]experiments.Machine, error) {
-	if s == "all" {
-		return allMachines, nil
-	}
-	var out []experiments.Machine
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, m := range allMachines {
-			if m.String() == name {
-				out = append(out, m)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown machine %q (want original, straightened, ildp-basic, ildp-modified, or all)", name)
-		}
-	}
-	return out, nil
-}
-
 func parseKinds(s string) ([]faultinject.Kind, error) {
 	if s == "all" {
 		return nil, nil // nil means "all kinds" to the injector
@@ -117,7 +88,7 @@ func main() {
 		return
 	}
 
-	machines, err := parseMachines(*machinesFlag)
+	machines, err := experiments.ParseMachines(*machinesFlag)
 	if err != nil {
 		fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,35 +37,6 @@ import (
 	"github.com/ildp/accdbt/internal/vm"
 	"github.com/ildp/accdbt/internal/workload"
 )
-
-var allMachines = []experiments.Machine{
-	experiments.Original,
-	experiments.Straightened,
-	experiments.ILDPBasic,
-	experiments.ILDPModified,
-}
-
-func parseMachines(s string) ([]experiments.Machine, error) {
-	if s == "all" {
-		return allMachines, nil
-	}
-	var out []experiments.Machine
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, m := range allMachines {
-			if m.String() == name {
-				out = append(out, m)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown machine %q (want original, straightened, ildp-basic, ildp-modified, or all)", name)
-		}
-	}
-	return out, nil
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9844", "serve the telemetry plane on this address")
@@ -90,7 +60,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ildpmon:", err)
 		os.Exit(2)
 	}
-	machines, err := parseMachines(*machinesFlag)
+	machines, err := experiments.ParseMachines(*machinesFlag)
 	if err != nil {
 		logger.Error(err.Error())
 		os.Exit(1)

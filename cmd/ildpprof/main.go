@@ -67,18 +67,9 @@ func main() {
 		fatal(err)
 	}
 
-	var mach experiments.Machine
-	switch *machine {
-	case "original":
-		mach = experiments.Original
-	case "straightened":
-		mach = experiments.Straightened
-	case "ildp-basic":
-		mach = experiments.ILDPBasic
-	case "ildp-modified":
-		mach = experiments.ILDPModified
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	mach, err := experiments.MachineByName(*machine)
+	if err != nil {
+		fatal(err)
 	}
 	var cm translate.ChainMode
 	switch *chain {

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/mem"
@@ -42,6 +43,36 @@ func (m Machine) String() string {
 		return machineNames[m]
 	}
 	return "machine?"
+}
+
+// MachineByName returns the machine whose String is name.
+func MachineByName(name string) (Machine, error) {
+	for m, n := range machineNames {
+		if n == name {
+			return Machine(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown machine %q", name)
+}
+
+// ParseMachines parses "all" (every machine, in order) or a
+// comma-separated list of machine names.
+func ParseMachines(list string) ([]Machine, error) {
+	var out []Machine
+	if list == "all" {
+		for m := range machineNames {
+			out = append(out, Machine(m))
+		}
+		return out, nil
+	}
+	for _, name := range strings.Split(list, ",") {
+		m, err := MachineByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("%w (want original, straightened, ildp-basic, ildp-modified, or all)", err)
+		}
+		out = append(out, m)
+	}
+	return out, nil
 }
 
 // RunSpec describes one simulation run.

@@ -7,17 +7,18 @@
 //
 // The injector only *decides and corrupts*; the VM applies the fault and
 // performs the recovery (see vm.Config.Faults). Every decision comes from
-// a splitmix64 stream seeded by Config.Seed, so a fault schedule is a
-// pure function of the seed: replaying a seed replays the exact same
-// faults at the exact same decision points, which is what lets the
-// differential chaos oracle (internal/experiments) demand bit-identical
-// architected state against a pure-interpreter run.
+// an internal/rng splitmix64 stream seeded by Config.Seed, so a fault
+// schedule is a pure function of the seed: replaying a seed replays the
+// exact same faults at the exact same decision points, which is what
+// lets the differential chaos oracle (internal/experiments) demand
+// bit-identical architected state against a pure-interpreter run.
 package faultinject
 
 import (
 	"fmt"
 	"strings"
 
+	"github.com/ildp/accdbt/internal/rng"
 	"github.com/ildp/accdbt/internal/tcache"
 	"github.com/ildp/accdbt/internal/translate"
 )
@@ -154,7 +155,7 @@ type Config struct {
 // injector (every decision returns KindNone).
 type Injector struct {
 	cfg     Config
-	rng     uint64
+	rng     rng.SplitMix64
 	enabled [numKinds]bool
 
 	decisions uint64
@@ -169,7 +170,7 @@ func New(cfg Config) *Injector {
 	if cfg.TranslateRate <= 0 {
 		cfg.TranslateRate = 8
 	}
-	in := &Injector{cfg: cfg, rng: cfg.Seed}
+	in := &Injector{cfg: cfg, rng: rng.SplitMix64(cfg.Seed)}
 	kinds := cfg.Kinds
 	if len(kinds) == 0 {
 		kinds = AllKinds()
@@ -182,15 +183,6 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// next advances the splitmix64 stream.
-func (in *Injector) next() uint64 {
-	in.rng += 0x9E3779B97F4A7C15
-	z := in.rng
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // decide draws one decision: fire with probability 1/rate, choosing
 // uniformly among the enabled members of pool.
 func (in *Injector) decide(rate int, pool []Kind) Kind {
@@ -201,7 +193,7 @@ func (in *Injector) decide(rate int, pool []Kind) Kind {
 	if in.cfg.MaxFaults > 0 && in.applied.Total() >= uint64(in.cfg.MaxFaults) {
 		return KindNone
 	}
-	draw := in.next()
+	draw := in.rng.Next()
 	if draw%uint64(rate) != 0 {
 		return KindNone
 	}
@@ -214,7 +206,7 @@ func (in *Injector) decide(rate int, pool []Kind) Kind {
 	if len(candidates) == 0 {
 		return KindNone
 	}
-	return candidates[in.next()%uint64(len(candidates))]
+	return candidates[in.rng.Next()%uint64(len(candidates))]
 }
 
 // EntryFault is consulted at every fragment entry (top-level and chained)
@@ -272,7 +264,7 @@ func (in *Injector) PickFragment(n int) int {
 	if in == nil || n <= 0 {
 		return -1
 	}
-	return int(in.next() % uint64(n))
+	return int(in.rng.Next() % uint64(n))
 }
 
 // CorruptFragment flips one field of the fragment — a single-bit
@@ -286,25 +278,25 @@ func (in *Injector) CorruptFragment(f *tcache.Fragment) bool {
 		return false
 	}
 	sites := len(f.Insts) + len(f.PEI)
-	site := int(in.next() % uint64(sites))
+	site := int(in.rng.Next() % uint64(sites))
 	if site >= len(f.Insts) {
-		f.PEI[site-len(f.Insts)] ^= 1 << (in.next() % 48)
+		f.PEI[site-len(f.Insts)] ^= 1 << (in.rng.Next() % 48)
 		return true
 	}
 	inst := &f.Insts[site]
-	switch in.next() % 6 {
+	switch in.rng.Next() % 6 {
 	case 0:
-		inst.VAddr ^= 1 << (in.next() % 48)
+		inst.VAddr ^= 1 << (in.rng.Next() % 48)
 	case 1:
-		inst.Disp ^= 1 << (in.next() % 16)
+		inst.Disp ^= 1 << (in.rng.Next() % 16)
 	case 2:
-		inst.Dest ^= 1 << (in.next() % 5)
+		inst.Dest ^= 1 << (in.rng.Next() % 5)
 	case 3:
-		inst.Op ^= 1 << (in.next() % 6)
+		inst.Op ^= 1 << (in.rng.Next() % 6)
 	case 4:
-		inst.VPC ^= 1 << (in.next() % 48)
+		inst.VPC ^= 1 << (in.rng.Next() % 48)
 	default:
-		inst.Acc ^= 1 << (in.next() % 3)
+		inst.Acc ^= 1 << (in.rng.Next() % 3)
 	}
 	return true
 }
@@ -322,7 +314,7 @@ func (in *Injector) CorruptResult(res *translate.Result) bool {
 		// verifier to reject; poison is not applicable.
 		return false
 	}
-	switch in.next() % 3 {
+	switch in.rng.Next() % 3 {
 	case 0:
 		// Corrupt the recorded code size: rule E5 (size-class) fires.
 		res.CodeBytes += 2

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc64"
 	"testing"
 
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/vm"
 )
@@ -35,11 +35,11 @@ func fuzzSeedBundle() *Bundle {
 // reach the structural decoder instead of stopping at the checksum.
 func reseal(data []byte) []byte {
 	out := append([]byte(nil), data...)
-	return binary.LittleEndian.AppendUint64(out, crc64.Checksum(data, crcTable))
+	return binary.LittleEndian.AppendUint64(out, codec.Checksum(data))
 }
 
 // FuzzFlightDecode: arbitrary bytes either decode to a bundle whose
-// re-encoding is byte-identical, or fail with a typed *Error and no
+// re-encoding is byte-identical, or fail with a typed *codec.Error and no
 // bundle — never a panic. Each input is tried as given and resealed
 // with a valid checksum.
 func FuzzFlightDecode(f *testing.F) {
@@ -59,7 +59,7 @@ func FuzzFlightDecode(f *testing.F) {
 				if got != nil {
 					t.Fatal("Decode returned both a bundle and an error")
 				}
-				var fe *Error
+				var fe *codec.Error
 				if !errors.As(err, &fe) {
 					t.Fatalf("untyped decode error %T: %v", err, err)
 				}

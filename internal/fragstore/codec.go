@@ -1,27 +1,28 @@
 package fragstore
 
 // On-disk format of the fragment store (docs/FORMAT.md specifies it
-// byte for byte). The codec follows internal/checkpoint's discipline:
+// byte for byte). It is an internal/codec frame, like the checkpoint:
 // fixed-width little-endian fields, sorted canonical ordering, CRC-64
-// guards, typed *Error failures, and Encode(Decode(b)) == b for every
-// stream Decode accepts without dropping an entry.
+// guards, typed *codec.Error failures, and Encode(Decode(b)) == b for
+// every stream Decode accepts without dropping an entry.
 //
 // The stream is guarded at two granularities. A whole-file CRC rejects
-// transport corruption outright (Decode fails with ErrChecksum). Inside
-// an intact file, each entry carries its own CRC, its content-record
-// hash must reproduce its key, and its fragment must re-pass the static
-// verifier — an entry failing any of those is dropped and counted in
-// the LoadReport, never installed, while the rest of the file loads.
+// transport corruption outright (Decode fails with codec.ErrChecksum).
+// Inside an intact file, each entry carries its own CRC, its
+// content-record hash must reproduce its key, and its fragment must
+// re-pass the static verifier — an entry failing any of those is
+// dropped and counted in the LoadReport, never installed, while the
+// rest of the file loads.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
+	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"sort"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/iverify"
 	"github.com/ildp/accdbt/internal/semcheck"
@@ -31,41 +32,12 @@ import (
 // Version is the current fragment-store format version.
 const Version = 1
 
-// magic identifies a fragment-store stream.
-var magic = [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'F', 'S'}
-
-// Decode failure causes, matched with errors.Is against the returned
-// *Error. These classify whole-file failures; per-entry corruption is
-// not an error but a dropped entry counted in the LoadReport.
-var (
-	ErrBadMagic  = errors.New("bad magic")
-	ErrVersion   = errors.New("unsupported version")
-	ErrTruncated = errors.New("truncated")
-	ErrChecksum  = errors.New("checksum mismatch")
-	ErrCanonical = errors.New("non-canonical encoding")
-	ErrTrailing  = errors.New("trailing bytes after checksum")
-)
-
-// Error is the typed decode failure: the byte offset where decoding
-// stopped, the failure class (one of the Err sentinels), and detail.
-type Error struct {
-	Off    int
-	Cause  error
-	Detail string
+// frame is the fragment-store stream's framing.
+var frame = codec.Frame{
+	Name:    "fragstore",
+	Magic:   [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'F', 'S'},
+	Version: Version,
 }
-
-// Error renders the failure with its offset and detail.
-func (e *Error) Error() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("fragstore: %v at offset %d", e.Cause, e.Off)
-	}
-	return fmt.Sprintf("fragstore: %v at offset %d: %s", e.Cause, e.Off, e.Detail)
-}
-
-// Unwrap exposes the failure class for errors.Is.
-func (e *Error) Unwrap() error { return e.Cause }
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // LoadOptions controls Decode's re-verification of loaded entries.
 type LoadOptions struct {
@@ -147,30 +119,29 @@ func (s *Store) Encode() []byte {
 		total += len(perShard[i])
 	}
 
-	var b []byte
-	b = append(b, magic[:]...)
-	b = le32(b, Version)
-	b = le32(b, NumShards)
-	b = le32(b, uint32(total))
-	for i := range perShard {
-		b = le32(b, uint32(len(perShard[i])))
-		for _, f := range perShard[i] {
-			body := make([]byte, 0, len(f.key)+len(f.content)+resultRecLen(f.res))
-			body = append(body, f.key[:]...)
-			body = append(body, f.content...)
-			body = appendResult(body, f.res)
-			b = le32(b, uint32(len(body)))
-			b = append(b, body...)
-			b = le64(b, crc64.Checksum(body, crcTable))
+	return frame.Seal(func(b []byte) []byte {
+		le := binary.LittleEndian
+		b = le.AppendUint32(b, NumShards)
+		b = le.AppendUint32(b, uint32(total))
+		for i := range perShard {
+			b = le.AppendUint32(b, uint32(len(perShard[i])))
+			for _, f := range perShard[i] {
+				body := make([]byte, 0, len(f.key)+len(f.content)+resultRecLen(f.res))
+				body = append(body, f.key[:]...)
+				body = append(body, f.content...)
+				body = appendResult(body, f.res)
+				b = codec.AppendBlob(b, body)
+				b = le.AppendUint64(b, codec.Checksum(body))
+			}
 		}
-	}
-	b = le64(b, crc64.Checksum(b, crcTable))
-	return b
+		return b
+	})
 }
 
 // Decode rebuilds a store from an Encode stream. Whole-file damage —
-// bad magic, unknown version, truncation, file-checksum mismatch,
-// non-canonical structure — fails with a typed *Error and no store.
+// bad magic, truncation, file-checksum mismatch, unknown version,
+// non-canonical structure — fails with a typed *codec.Error and no
+// store.
 // Within an intact file, every entry is independently validated (entry
 // CRC, key-to-content hash, structural well-formedness) and re-proved
 // by the static fragment verifier (plus semcheck when opts.SemCheck is
@@ -178,54 +149,28 @@ func (s *Store) Encode() []byte {
 // and counted in the LoadReport, which is returned even on error.
 func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 	rep := &LoadReport{}
-	const headerLen = 8 + 4 + 4 + 4
-	if len(b) < headerLen+8 {
-		return nil, rep, &Error{Off: len(b), Cause: ErrTruncated, Detail: "stream shorter than header and trailer"}
+	r, err := frame.Open(b)
+	if err != nil {
+		return nil, rep, err
 	}
-	if !bytes.Equal(b[:8], magic[:]) {
-		return nil, rep, &Error{Off: 0, Cause: ErrBadMagic}
+	if n := r.U32("shard count"); n != NumShards {
+		r.Fail(codec.ErrCanonical, "%d shards, want %d", n, NumShards)
 	}
-	d := &decoder{b: b, off: 8}
-	ver, _ := d.u32()
-	if ver != Version {
-		return nil, rep, &Error{Off: 8, Cause: ErrVersion, Detail: fmt.Sprintf("version %d", ver)}
-	}
-	trailerOff := len(b) - 8
-	sum := crc64.Checksum(b[:trailerOff], crcTable)
-	if got := leU64(b[trailerOff:]); got != sum {
-		return nil, rep, &Error{Off: trailerOff, Cause: ErrChecksum,
-			Detail: fmt.Sprintf("file checksum %#x, computed %#x", got, sum)}
-	}
-
-	nShards, _ := d.u32()
-	if nShards != NumShards {
-		return nil, rep, &Error{Off: d.off - 4, Cause: ErrCanonical,
-			Detail: fmt.Sprintf("%d shards, want %d", nShards, NumShards)}
-	}
-	total, _ := d.u32()
+	totalOff := r.Off()
+	total := r.U32("entry total")
 
 	s := New()
 	counted := uint32(0)
-	for shardIdx := 0; shardIdx < NumShards; shardIdx++ {
-		count, ok := d.u32()
-		if !ok {
-			return nil, rep, d.fail(ErrTruncated, "shard count")
-		}
+	for shardIdx := 0; shardIdx < NumShards && r.Err() == nil; shardIdx++ {
+		count := r.U32("shard entry count")
 		var prev Key
-		for n := uint32(0); n < count; n++ {
+		for n := uint32(0); n < count && r.Err() == nil; n++ {
 			counted++
-			bodyOff := d.off + 4
-			bodyLen, ok := d.u32()
-			if !ok {
-				return nil, rep, d.fail(ErrTruncated, "entry length")
-			}
-			body, ok := d.take(int(bodyLen))
-			if !ok {
-				return nil, rep, d.fail(ErrTruncated, "entry body")
-			}
-			wantCRC, ok := d.u64()
-			if !ok {
-				return nil, rep, d.fail(ErrTruncated, "entry checksum")
+			bodyOff := r.Off() + 4
+			body := r.Blob("entry body")
+			wantCRC := r.U64("entry checksum")
+			if r.Err() != nil {
+				break
 			}
 			rep.Entries++
 
@@ -234,17 +179,17 @@ func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 			if len(body) >= len(Key{}) {
 				key := Key(body[:len(Key{})])
 				if int(key[0])%NumShards != shardIdx {
-					return nil, rep, &Error{Off: bodyOff, Cause: ErrCanonical,
-						Detail: fmt.Sprintf("key %v in shard %d, belongs in %d", key, shardIdx, int(key[0])%NumShards)}
+					r.FailAt(bodyOff, codec.ErrCanonical, "key %v in shard %d, belongs in %d", key, shardIdx, int(key[0])%NumShards)
+					break
 				}
 				if n > 0 && bytes.Compare(key[:], prev[:]) <= 0 {
-					return nil, rep, &Error{Off: bodyOff, Cause: ErrCanonical,
-						Detail: fmt.Sprintf("key %v not strictly after %v", key, prev)}
+					r.FailAt(bodyOff, codec.ErrCanonical, "key %v not strictly after %v", key, prev)
+					break
 				}
 				prev = key
 			}
 
-			if crc64.Checksum(body, crcTable) != wantCRC {
+			if codec.Checksum(body) != wantCRC {
 				rep.DroppedCRC++
 				continue
 			}
@@ -252,12 +197,10 @@ func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 		}
 	}
 	if counted != total {
-		return nil, rep, &Error{Off: headerLen - 4, Cause: ErrCanonical,
-			Detail: fmt.Sprintf("entry total %d, shard counts sum to %d", total, counted)}
+		r.FailAt(totalOff, codec.ErrCanonical, "entry total %d, shard counts sum to %d", total, counted)
 	}
-	if d.off != trailerOff {
-		return nil, rep, &Error{Off: d.off, Cause: ErrTrailing,
-			Detail: fmt.Sprintf("%d bytes before checksum", trailerOff-d.off)}
+	if err := r.End(); err != nil {
+		return nil, rep, err
 	}
 	return s, rep, nil
 }
@@ -307,24 +250,21 @@ func loadEntry(s *Store, body []byte, opts LoadOptions, rep *LoadReport) {
 // mismatch — without distinguishing causes; a malformed entry is
 // dropped whatever the detail.
 func parseEntry(body []byte) (key Key, content []byte, cfg Config, sb *translate.Superblock, res *translate.Result, ok bool) {
-	d := &decoder{b: body}
-	kb, ok1 := d.take(len(Key{}))
-	if !ok1 {
+	d := codec.NewReader(frame.Name, body)
+	kb := d.Take(len(Key{}), "key")
+	if kb == nil {
 		return key, nil, cfg, nil, nil, false
 	}
 	key = Key(kb)
-	contentStart := d.off
-	cfg, ok1 = parseConfigRec(d)
-	if !ok1 {
+	contentStart := d.Off()
+	if cfg, ok = parseConfigRec(d); !ok {
 		return key, nil, cfg, nil, nil, false
 	}
-	sb, ok1 = parseSuperblockRec(d)
-	if !ok1 {
+	if sb, ok = parseSuperblockRec(d); !ok {
 		return key, nil, cfg, nil, nil, false
 	}
-	content = body[contentStart:d.off]
-	res, ok1 = parseResultRec(d)
-	if !ok1 || d.off != len(body) {
+	content = body[contentStart:d.Off()]
+	if res, ok = parseResultRec(d); !ok || d.End() != nil {
 		return key, nil, cfg, nil, nil, false
 	}
 	return key, content, cfg, sb, res, true
@@ -333,9 +273,9 @@ func parseEntry(body []byte) (key Key, content []byte, cfg Config, sb *translate
 // parseConfigRec parses the canonical config record and enforces its
 // normalisation: a straightening record must zero the fields
 // straightening ignores, and every enum must be in range.
-func parseConfigRec(d *decoder) (Config, bool) {
-	rec, ok := d.take(configRecLen)
-	if !ok {
+func parseConfigRec(d *codec.Reader) (Config, bool) {
+	rec := d.Take(configRecLen, "config record")
+	if rec == nil {
 		return Config{}, false
 	}
 	flags, form, numAcc, chain, fuse := rec[0], rec[1], rec[2], rec[3], rec[4]
@@ -364,40 +304,28 @@ func parseConfigRec(d *decoder) (Config, bool) {
 // parseSuperblockRec parses the canonical superblock record
 // (appendSuperblock's layout), rebuilding each instruction from its
 // stored Alpha word.
-func parseSuperblockRec(d *decoder) (*translate.Superblock, bool) {
-	sb := &translate.Superblock{}
-	var ok bool
-	if sb.StartPC, ok = d.u64(); !ok {
-		return nil, false
-	}
-	end, ok := d.u8()
-	if !ok || end > uint8(translate.EndTrap) {
-		return nil, false
-	}
+func parseSuperblockRec(d *codec.Reader) (*translate.Superblock, bool) {
+	sb := &translate.Superblock{StartPC: d.U64("start pc")}
+	end := d.U8("end kind")
 	sb.End = translate.EndKind(end)
-	if sb.NextPC, ok = d.u64(); !ok {
-		return nil, false
-	}
-	n, ok := d.u32()
-	if !ok || n == 0 || int(n) > d.remaining()/sbInstRecLen {
+	sb.NextPC = d.U64("next pc")
+	n := d.Count("superblock instruction", sbInstRecLen)
+	if d.Err() != nil || end > uint8(translate.EndTrap) || n == 0 {
 		return nil, false
 	}
 	sb.Insts = make([]translate.SBInst, n)
 	for i := range sb.Insts {
 		si := &sb.Insts[i]
-		si.PC, _ = d.u64()
-		w, _ := d.u32()
-		si.Inst = alpha.Decode(alpha.Word(w))
-		flags, _ := d.u8()
+		si.PC = d.U64("pc")
+		si.Inst = alpha.Decode(alpha.Word(d.U32("word")))
+		flags := d.U8("taken flag")
 		if flags > 1 {
 			return nil, false
 		}
 		si.Taken = flags == 1
-		if si.PredTarget, ok = d.u64(); !ok {
-			return nil, false
-		}
+		si.PredTarget = d.U64("predicted target")
 	}
-	return sb, true
+	return sb, d.Err() == nil
 }
 
 // resultRecLen sizes the result record for preallocation.
@@ -420,45 +348,45 @@ const instRecLen = 1 + 2 + 1 + 1 + 10 + 10 + 1 + 1 + 4 + 8 + 8 + 4 + 1 + 1 + 1
 // translate.Result in fixed order, fixed width, with slice lengths
 // prefixed, so decode-then-encode reproduces the bytes exactly.
 func appendResult(b []byte, res *translate.Result) []byte {
-	b = le64(b, res.VStart)
+	b = binary.LittleEndian.AppendUint64(b, res.VStart)
 	b = append(b, byte(res.Form))
 	var flags byte
 	if res.Straightened {
 		flags = 1
 	}
 	b = append(b, flags)
-	b = le32(b, uint32(res.SrcCount))
-	b = le32(b, uint32(res.NOPCount))
-	b = le32(b, uint32(res.BranchElims))
-	b = le32(b, uint32(res.CopyCount))
-	b = le32(b, uint32(res.SpillCount))
-	b = le32(b, uint32(res.ChainCount))
-	b = le32(b, uint32(res.CodeBytes))
-	b = le32(b, uint32(res.SrcBytes))
-	b = le64(b, uint64(res.Cost))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.SrcCount))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.NOPCount))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.BranchElims))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.CopyCount))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.SpillCount))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.ChainCount))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.CodeBytes))
+	b = binary.LittleEndian.AppendUint32(b, uint32(res.SrcBytes))
+	b = binary.LittleEndian.AppendUint64(b, uint64(res.Cost))
 	for _, u := range res.Usage {
-		b = le64(b, uint64(u))
+		b = binary.LittleEndian.AppendUint64(b, uint64(u))
 	}
-	b = le32(b, uint32(len(res.Insts)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.Insts)))
 	for i := range res.Insts {
 		b = appendInst(b, &res.Insts[i])
 	}
-	b = le32(b, uint32(len(res.PEI)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.PEI)))
 	for _, pc := range res.PEI {
-		b = le64(b, pc)
+		b = binary.LittleEndian.AppendUint64(b, pc)
 	}
-	b = le32(b, uint32(len(res.PEIRecover)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.PEIRecover)))
 	for _, rec := range res.PEIRecover {
 		b = append(b, byte(len(rec)))
 		for _, ra := range rec {
 			b = append(b, byte(ra.Reg), byte(ra.Acc))
 		}
 	}
-	b = le32(b, uint32(len(res.Strands)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.Strands)))
 	for _, s := range res.Strands {
-		b = le32(b, uint32(int32(s)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(s)))
 	}
-	b = le32(b, uint32(len(res.ExitLive)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.ExitLive)))
 	for _, regs := range res.ExitLive {
 		b = append(b, byte(len(regs)))
 		for _, r := range regs {
@@ -485,10 +413,10 @@ func appendInst(b []byte, in *ildp.Inst) []byte {
 	b = appendSrc(b, in.SrcA)
 	b = appendSrc(b, in.SrcB)
 	b = append(b, byte(in.Dest), byte(in.ArchDest))
-	b = le32(b, uint32(in.Disp))
-	b = le64(b, in.VPC)
-	b = le64(b, in.VAddr)
-	b = le32(b, uint32(in.Frag))
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Disp))
+	b = binary.LittleEndian.AppendUint64(b, in.VPC)
+	b = binary.LittleEndian.AppendUint64(b, in.VAddr)
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Frag))
 	b = append(b, byte(in.Class), byte(in.VCredit), byte(in.Usage))
 	return b
 }
@@ -496,49 +424,30 @@ func appendInst(b []byte, in *ildp.Inst) []byte {
 // appendSrc appends one source-operand record (10 bytes).
 func appendSrc(b []byte, s ildp.Src) []byte {
 	b = append(b, byte(s.Kind), byte(s.Reg))
-	return le64(b, uint64(s.Imm))
+	return binary.LittleEndian.AppendUint64(b, uint64(s.Imm))
 }
 
 // parseResultRec parses the result record (appendResult's layout).
-func parseResultRec(d *decoder) (*translate.Result, bool) {
-	res := &translate.Result{}
-	var ok bool
-	if res.VStart, ok = d.u64(); !ok {
-		return nil, false
-	}
-	form, ok := d.u8()
-	if !ok || form > uint8(ildp.Modified) {
+func parseResultRec(d *codec.Reader) (*translate.Result, bool) {
+	res := &translate.Result{VStart: d.U64("vstart")}
+	form := d.U8("form")
+	flags := d.U8("straightened flag")
+	if form > uint8(ildp.Modified) || flags > 1 {
 		return nil, false
 	}
 	res.Form = ildp.Form(form)
-	flags, ok := d.u8()
-	if !ok || flags > 1 {
-		return nil, false
-	}
 	res.Straightened = flags == 1
-	var v uint32
 	for _, dst := range []*int{&res.SrcCount, &res.NOPCount, &res.BranchElims,
 		&res.CopyCount, &res.SpillCount, &res.ChainCount, &res.CodeBytes, &res.SrcBytes} {
-		if v, ok = d.u32(); !ok {
-			return nil, false
-		}
-		*dst = int(v)
+		*dst = int(d.U32("size count"))
 	}
-	cost, ok := d.u64()
-	if !ok {
-		return nil, false
-	}
-	res.Cost = int64(cost)
+	res.Cost = int64(d.U64("cost"))
 	for i := range res.Usage {
-		u, ok := d.u64()
-		if !ok {
-			return nil, false
-		}
-		res.Usage[i] = int64(u)
+		res.Usage[i] = int64(d.U64("usage"))
 	}
 
-	nInsts, ok := d.u32()
-	if !ok || nInsts == 0 || int(nInsts) > d.remaining()/instRecLen {
+	nInsts := d.Count("instruction", instRecLen)
+	if d.Err() != nil || nInsts == 0 {
 		return nil, false
 	}
 	res.Insts = make([]ildp.Inst, nInsts)
@@ -548,34 +457,25 @@ func parseResultRec(d *decoder) (*translate.Result, bool) {
 		}
 	}
 
-	nPEI, ok := d.u32()
-	if !ok || int(nPEI) > d.remaining()/8 {
-		return nil, false
-	}
-	if nPEI > 0 {
+	if nPEI := d.Count("PEI", 8); nPEI > 0 {
 		res.PEI = make([]uint64, nPEI)
 		for i := range res.PEI {
-			res.PEI[i], _ = d.u64()
+			res.PEI[i] = d.U64("PEI")
 		}
 	}
 
-	nRec, ok := d.u32()
-	if !ok || int(nRec) > d.remaining() {
-		return nil, false
-	}
-	if nRec > 0 {
+	if nRec := d.Count("PEI recovery list", 1); nRec > 0 {
 		res.PEIRecover = make([][]translate.RegAcc, nRec)
 		for i := range res.PEIRecover {
-			m, ok := d.u8()
-			if !ok || int(m)*2 > d.remaining() {
+			m := d.U8("recovery list length")
+			if d.Err() != nil || int(m)*2 > d.Remaining() {
 				return nil, false
 			}
 			if m > 0 {
 				rec := make([]translate.RegAcc, m)
 				for j := range rec {
-					r, _ := d.u8()
-					a, ok := d.u8()
-					if !ok || r >= alpha.NumRegs || int(a) >= ildp.MaxAccumulators {
+					r, a := d.U8("register"), d.U8("accumulator")
+					if r >= alpha.NumRegs || int(a) >= ildp.MaxAccumulators {
 						return nil, false
 					}
 					rec[j] = translate.RegAcc{Reg: alpha.Reg(r), Acc: ildp.AccID(a)}
@@ -585,23 +485,14 @@ func parseResultRec(d *decoder) (*translate.Result, bool) {
 		}
 	}
 
-	nStrands, ok := d.u32()
-	if !ok || int(nStrands) > d.remaining()/4 {
-		return nil, false
-	}
-	if nStrands > 0 {
+	if nStrands := d.Count("strand", 4); nStrands > 0 {
 		res.Strands = make([]int, nStrands)
 		for i := range res.Strands {
-			s, _ := d.u32()
-			res.Strands[i] = int(int32(s))
+			res.Strands[i] = int(int32(d.U32("strand")))
 		}
 	}
 
-	nExit, ok := d.u32()
-	if !ok || int(nExit) > d.remaining() {
-		return nil, false
-	}
-	if nExit > 0 {
+	if nExit := d.Count("exit live list", 1); nExit > 0 {
 		res.ExitLive = make([][]alpha.Reg, nExit)
 		for i := range res.ExitLive {
 			regs, ok := parseRegList(d)
@@ -630,65 +521,41 @@ func parseResultRec(d *decoder) (*translate.Result, bool) {
 }
 
 // parseInst parses one instruction record.
-func parseInst(d *decoder, in *ildp.Inst) bool {
-	kind, ok := d.u8()
-	if !ok {
-		return false
-	}
-	in.Kind = ildp.Kind(kind)
-	lo, _ := d.u8()
-	hi, _ := d.u8()
+func parseInst(d *codec.Reader, in *ildp.Inst) bool {
+	in.Kind = ildp.Kind(d.U8("kind"))
+	lo, hi := d.U8("op"), d.U8("op")
 	in.Op = alpha.Op(uint16(lo) | uint16(hi)<<8)
-	acc, _ := d.u8()
-	in.Acc = ildp.AccID(acc)
-	flags, ok := d.u8()
-	if !ok || flags > 1 {
+	in.Acc = ildp.AccID(d.U8("accumulator"))
+	flags := d.U8("writes-acc flag")
+	if flags > 1 {
 		return false
 	}
 	in.WritesAcc = flags == 1
-	if !parseSrc(d, &in.SrcA) || !parseSrc(d, &in.SrcB) {
-		return false
-	}
-	dest, _ := d.u8()
-	in.Dest = alpha.Reg(dest)
-	archDest, _ := d.u8()
-	in.ArchDest = alpha.Reg(archDest)
-	disp, _ := d.u32()
-	in.Disp = int32(disp)
-	in.VPC, _ = d.u64()
-	in.VAddr, _ = d.u64()
-	frag, _ := d.u32()
-	in.Frag = int32(frag)
-	class, _ := d.u8()
-	in.Class = ildp.Class(class)
-	credit, _ := d.u8()
-	in.VCredit = credit
-	usage, ok := d.u8()
-	if !ok {
-		return false
-	}
-	in.Usage = ildp.UsageClass(usage)
-	return true
+	parseSrc(d, &in.SrcA)
+	parseSrc(d, &in.SrcB)
+	in.Dest = alpha.Reg(d.U8("dest"))
+	in.ArchDest = alpha.Reg(d.U8("arch dest"))
+	in.Disp = int32(d.U32("disp"))
+	in.VPC = d.U64("vpc")
+	in.VAddr = d.U64("vaddr")
+	in.Frag = int32(d.U32("frag"))
+	in.Class = ildp.Class(d.U8("class"))
+	in.VCredit = d.U8("v credit")
+	in.Usage = ildp.UsageClass(d.U8("usage"))
+	return d.Err() == nil
 }
 
 // parseSrc parses one source-operand record.
-func parseSrc(d *decoder, s *ildp.Src) bool {
-	kind, _ := d.u8()
-	reg, _ := d.u8()
-	imm, ok := d.u64()
-	if !ok {
-		return false
-	}
-	s.Kind = ildp.SrcKind(kind)
-	s.Reg = alpha.Reg(reg)
-	s.Imm = int64(imm)
-	return true
+func parseSrc(d *codec.Reader, s *ildp.Src) {
+	s.Kind = ildp.SrcKind(d.U8("src kind"))
+	s.Reg = alpha.Reg(d.U8("src reg"))
+	s.Imm = int64(d.U64("src imm"))
 }
 
 // parseRegList parses a u8-counted register list; zero count yields nil.
-func parseRegList(d *decoder) ([]alpha.Reg, bool) {
-	m, ok := d.u8()
-	if !ok || int(m) > d.remaining() {
+func parseRegList(d *codec.Reader) ([]alpha.Reg, bool) {
+	m := d.U8("register count")
+	if d.Err() != nil || int(m) > d.Remaining() {
 		return nil, false
 	}
 	if m == 0 {
@@ -696,62 +563,11 @@ func parseRegList(d *decoder) ([]alpha.Reg, bool) {
 	}
 	regs := make([]alpha.Reg, m)
 	for i := range regs {
-		r, _ := d.u8()
+		r := d.U8("register")
 		if r >= alpha.NumRegs {
 			return nil, false
 		}
 		regs[i] = alpha.Reg(r)
 	}
 	return regs, true
-}
-
-// decoder is a bounds-checked little-endian reader.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) remaining() int { return len(d.b) - d.off }
-
-func (d *decoder) take(n int) ([]byte, bool) {
-	if n < 0 || d.remaining() < n {
-		return nil, false
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v, true
-}
-
-func (d *decoder) u8() (uint8, bool) {
-	v, ok := d.take(1)
-	if !ok {
-		return 0, false
-	}
-	return v[0], true
-}
-
-func (d *decoder) u32() (uint32, bool) {
-	v, ok := d.take(4)
-	if !ok {
-		return 0, false
-	}
-	return uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24, true
-}
-
-func (d *decoder) u64() (uint64, bool) {
-	v, ok := d.take(8)
-	if !ok {
-		return 0, false
-	}
-	return leU64(v), true
-}
-
-func leU64(v []byte) uint64 {
-	return uint64(v[0]) | uint64(v[1])<<8 | uint64(v[2])<<16 | uint64(v[3])<<24 |
-		uint64(v[4])<<32 | uint64(v[5])<<40 | uint64(v[6])<<48 | uint64(v[7])<<56
-}
-
-// fail builds a truncation-class error at the current offset.
-func (d *decoder) fail(cause error, detail string) *Error {
-	return &Error{Off: d.off, Cause: cause, Detail: detail}
 }

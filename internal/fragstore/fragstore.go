@@ -33,6 +33,7 @@ package fragstore
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -123,24 +124,24 @@ const sbInstRecLen = 8 + 4 + 1 + 8
 // of a content address, so it must be a pure function of the collected
 // trace — alpha.Encode provides the canonical word spelling.
 func appendSuperblock(b []byte, sb *translate.Superblock) ([]byte, error) {
-	b = le64(b, sb.StartPC)
+	b = binary.LittleEndian.AppendUint64(b, sb.StartPC)
 	b = append(b, byte(sb.End))
-	b = le64(b, sb.NextPC)
-	b = le32(b, uint32(len(sb.Insts)))
+	b = binary.LittleEndian.AppendUint64(b, sb.NextPC)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sb.Insts)))
 	for i := range sb.Insts {
 		si := &sb.Insts[i]
 		w, err := alpha.Encode(si.Inst)
 		if err != nil {
 			return nil, fmt.Errorf("fragstore: superblock %#x inst %d: %w", sb.StartPC, i, err)
 		}
-		b = le64(b, si.PC)
-		b = le32(b, uint32(w))
+		b = binary.LittleEndian.AppendUint64(b, si.PC)
+		b = binary.LittleEndian.AppendUint32(b, uint32(w))
 		var flags byte
 		if si.Taken {
 			flags = 1
 		}
 		b = append(b, flags)
-		b = le64(b, si.PredTarget)
+		b = binary.LittleEndian.AppendUint64(b, si.PredTarget)
 	}
 	return b, nil
 }
@@ -406,14 +407,4 @@ func (s *Store) insertLoaded(key Key, content []byte, res *translate.Result) {
 		s.loaded.Add(1)
 	}
 	sh.mu.Unlock()
-}
-
-// le32 and le64 append fixed-width little-endian integers.
-func le32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func le64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/fragstore"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/translate"
@@ -373,33 +374,34 @@ func TestDecodeCorruptFile(t *testing.T) {
 		if !errors.Is(err, want) {
 			t.Fatalf("%s: err = %v, want %v", name, err, want)
 		}
-		var fe *fragstore.Error
+		var fe *codec.Error
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s: err %T is not *fragstore.Error", name, err)
+			t.Fatalf("%s: err %T is not *codec.Error", name, err)
 		}
 	}
 
-	check("empty", nil, fragstore.ErrTruncated)
-	check("short", enc[:12], fragstore.ErrTruncated)
+	check("empty", nil, codec.ErrTruncated)
+	check("short", enc[:12], codec.ErrTruncated)
 
 	bad := bytes.Clone(enc)
 	bad[0] ^= 0xFF
-	check("magic", bad, fragstore.ErrBadMagic)
+	check("magic", bad, codec.ErrBadMagic)
 
 	bad = bytes.Clone(enc)
 	bad[8] = 0xEE // version field
-	check("version", bad, fragstore.ErrVersion)
+	fixFileCRC(bad)
+	check("version", bad, codec.ErrVersion)
 
 	bad = bytes.Clone(enc)
 	bad[len(bad)/2] ^= 0x10
-	check("flip", bad, fragstore.ErrChecksum)
+	check("flip", bad, codec.ErrChecksum)
 
 	// Bytes wedged between the last entry and the trailer, trailer
 	// recomputed so only structure can catch them.
 	bad = append(bytes.Clone(enc[:len(enc)-8]), 0, 0, 0, 0)
 	bad = append(bad, make([]byte, 8)...)
 	fixFileCRC(bad)
-	check("trailing", bad, fragstore.ErrTrailing)
+	check("trailing", bad, codec.ErrTrailing)
 }
 
 func TestDecodeDropsCorruptEntry(t *testing.T) {
@@ -490,11 +492,11 @@ func TestLoadReportMidEntryTruncation(t *testing.T) {
 		if st != nil || err == nil {
 			t.Fatalf("entry %d: torn prefix of %d bytes parsed (err %v)", i, cut, err)
 		}
-		var fe *fragstore.Error
+		var fe *codec.Error
 		if !errors.As(err, &fe) {
 			t.Fatalf("entry %d: torn prefix error %T is not typed", i, err)
 		}
-		if !errors.Is(err, fragstore.ErrTruncated) && !errors.Is(err, fragstore.ErrChecksum) {
+		if !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrChecksum) {
 			t.Fatalf("entry %d: torn prefix error %v is neither truncation nor checksum", i, err)
 		}
 	}
@@ -610,9 +612,9 @@ func FuzzFragstoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, rep, err := fragstore.Decode(b, fragstore.LoadOptions{})
 		if err != nil {
-			var fe *fragstore.Error
+			var fe *codec.Error
 			if !errors.As(err, &fe) {
-				t.Fatalf("decode error %T is not *fragstore.Error", err)
+				t.Fatalf("decode error %T is not *codec.Error", err)
 			}
 			return
 		}

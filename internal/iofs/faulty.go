@@ -5,6 +5,8 @@ import (
 	"io/fs"
 	"strings"
 	"sync"
+
+	"github.com/ildp/accdbt/internal/rng"
 )
 
 // Kind is one injectable I/O fault class.
@@ -174,7 +176,7 @@ type Faulty struct {
 	enabled [numKinds]bool
 
 	mu        sync.Mutex
-	rng       uint64
+	rng       rng.SplitMix64
 	decisions uint64
 	applied   Counts
 }
@@ -184,7 +186,7 @@ func NewFaulty(inner FS, cfg Config) *Faulty {
 	if cfg.Rate <= 0 {
 		cfg.Rate = 8
 	}
-	f := &Faulty{inner: Default(inner), cfg: cfg, rng: cfg.Seed}
+	f := &Faulty{inner: Default(inner), cfg: cfg, rng: rng.SplitMix64(cfg.Seed)}
 	kinds := cfg.Kinds
 	if len(kinds) == 0 {
 		kinds = AllKinds()
@@ -197,15 +199,6 @@ func NewFaulty(inner FS, cfg Config) *Faulty {
 	return f
 }
 
-// next advances the splitmix64 stream.
-func (f *Faulty) next() uint64 {
-	f.rng += 0x9E3779B97F4A7C15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // decide draws one decision: fire with probability 1/Rate, choosing
 // uniformly among the enabled members of pool.
 func (f *Faulty) decide(pool []Kind) Kind {
@@ -213,7 +206,7 @@ func (f *Faulty) decide(pool []Kind) Kind {
 	if f.cfg.MaxFaults > 0 && f.applied.Total() >= uint64(f.cfg.MaxFaults) {
 		return KindNone
 	}
-	draw := f.next()
+	draw := f.rng.Next()
 	if draw%uint64(f.cfg.Rate) != 0 {
 		return KindNone
 	}
@@ -226,7 +219,7 @@ func (f *Faulty) decide(pool []Kind) Kind {
 	if len(candidates) == 0 {
 		return KindNone
 	}
-	return candidates[f.next()%uint64(len(candidates))]
+	return candidates[f.rng.Next()%uint64(len(candidates))]
 }
 
 // fault records an applied fault and returns its typed error.
@@ -265,7 +258,7 @@ func (f *Faulty) ReadFile(name string) ([]byte, error) {
 		f.fault("read", name, k)
 		// Return a strict prefix: at least zero, at most len-1 bytes.
 		if len(data) > 0 {
-			data = data[:f.next()%uint64(len(data))]
+			data = data[:f.rng.Next()%uint64(len(data))]
 		}
 		return data, nil
 	}
@@ -287,7 +280,7 @@ func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	case KindTornWrite:
 		n := 0
 		if len(data) > 0 {
-			n = int(f.next() % uint64(len(data)))
+			n = int(f.rng.Next() % uint64(len(data)))
 		}
 		f.inner.WriteFile(name, data[:n], perm)
 		return f.fault("write", name, k)

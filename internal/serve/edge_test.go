@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/ildp/accdbt/internal/checkpoint"
+	"github.com/ildp/accdbt/internal/codec"
 )
 
 // countSpillFiles counts .ckpt + .json files in a spill directory.
@@ -94,7 +96,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("corrupt-resume state = %s, want failed", got)
 	}
 	_, derr := checkpoint.Decode(corrupt)
-	var ckErr *checkpoint.Error
+	var ckErr *codec.Error
 	if !errors.As(derr, &ckErr) {
 		t.Fatalf("test invariant broken: corruption produced %v, not a typed checkpoint error", derr)
 	}
@@ -134,9 +136,18 @@ func TestQuotaRejectThenReadmit(t *testing.T) {
 // TestQueueFull rejects admission beyond MaxSessions with ErrQueueFull.
 func TestQueueFull(t *testing.T) {
 	s := testServer(t, Options{Workers: 1, QuantumVInsts: 1 << 40, MaxSessions: 2})
+	// Hold the one worker until the over-capacity submit, so neither
+	// session can finish and free its slot first on a loaded host. The
+	// cleanup releases it before s.Close if the test stops early.
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(free)
+	s.hookQuantum = func(*Session) { <-release }
 	a := submitWorkload(t, s, "vpr", 1, 0, "t0")
 	b := submitWorkload(t, s, "parser", 1, 0, "t0")
-	if _, err := s.Submit(nil, "t0", "over"); !errors.Is(err, ErrQueueFull) {
+	_, err := s.Submit(nil, "t0", "over")
+	free()
+	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit: %v, want ErrQueueFull", err)
 	}
 	waitDone(t, a, 60*time.Second)
