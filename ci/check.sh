@@ -94,6 +94,13 @@ echo "== semcheck fuzz (5s)"
 # (straightening included) must all prove semantically equivalent.
 go test -run='^$' -fuzz=FuzzSemCheck -fuzztime=5s ./internal/semcheck/
 
+echo "== translate fuzz (5s)"
+# Arbitrary decodable superblocks through the real translator must
+# verify clean, and once installed, linked and un-linked, every
+# fragment's lowered code must equal a fresh lowering of its
+# instructions.
+go test -run='^$' -fuzz=FuzzTranslate -fuzztime=5s ./internal/iverify/
+
 echo "== ildplint -sem smoke (reconstruct + prove installed fragments)"
 sem_out=$(go run ./cmd/ildplint -workload gzip -form modified -sem)
 echo "$sem_out" | grep -q " fragments proved, 0 with counterexamples" || {

@@ -409,7 +409,9 @@ func (i *Inst) Dest() Reg {
 
 // Sources returns the architected source registers of the instruction.
 // R31 entries are omitted (reads of R31 are free). The result is at most
-// two registers appended to dst.
+// three registers appended to dst: a conditional move reads Ra, Rb and
+// its destination Rc, every other instruction at most two. A dst with
+// capacity for three never grows.
 func (i *Inst) Sources(dst []Reg) []Reg {
 	add := func(r Reg) {
 		if r != RegZero {

@@ -283,7 +283,7 @@ func (in *Injector) CorruptFragment(f *tcache.Fragment) bool {
 		f.PEI[site-len(f.Insts)] ^= 1 << (in.rng.Next() % 48)
 		return true
 	}
-	inst := &f.Insts[site]
+	inst := f.Insts[site]
 	switch in.rng.Next() % 6 {
 	case 0:
 		inst.VAddr ^= 1 << (in.rng.Next() % 48)
@@ -298,6 +298,9 @@ func (in *Injector) CorruptFragment(f *tcache.Fragment) bool {
 	default:
 		inst.Acc ^= 1 << (in.rng.Next() % 3)
 	}
+	// Through the cache's own entry point, so the fragment's lowered
+	// code runs the damaged instruction too.
+	f.SetInst(site, inst)
 	return true
 }
 

@@ -507,7 +507,54 @@ func FuzzTranslate(f *testing.F) {
 			t.Fatalf("translation of %d V-instructions fails verification (%v/%v/%d accs):\n%s",
 				len(sb.Insts), form, chain, numAcc, rep)
 		}
+		checkLoweredLockstep(t, res, form)
 	})
+}
+
+// checkLoweredLockstep installs an accepted translation into a fresh
+// cache, links its exits by installing a stub at each exit target, then
+// invalidates the stubs, which un-patches the links. After each step the
+// fragment's lowered code must equal a fresh lowering of its
+// instructions, and it must have a lowered form for every instruction.
+func checkLoweredLockstep(t *testing.T, res *translate.Result, form ildp.Form) {
+	t.Helper()
+	c := tcache.New(form)
+	f, err := c.Install(res)
+	if err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := f.CheckCode(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	check("install")
+	for i, op := range f.Code()[:len(f.Insts)] {
+		if op.H == tcache.HInvalid {
+			t.Fatalf("instruction %d %v has no lowered form", i, f.Insts[i].String())
+		}
+	}
+	var stubs []int32
+	for i := range f.Insts {
+		inst := &f.Insts[i]
+		if !inst.IsExit() || inst.VAddr == 0 || c.Lookup(inst.VAddr) != nil {
+			continue
+		}
+		stub, err := c.Install(&translate.Result{VStart: inst.VAddr, Insts: []ildp.Inst{
+			{Kind: ildp.KindSetVPC, VAddr: inst.VAddr, Frag: ildp.NoFrag, Class: ildp.ClassSpecial},
+			{Kind: ildp.KindCallTrans, VAddr: inst.VAddr + 4, Frag: ildp.NoFrag, Class: ildp.ClassChain},
+		}})
+		if err != nil {
+			t.Fatalf("install stub at %#x: %v", inst.VAddr, err)
+		}
+		stubs = append(stubs, stub.ID)
+		check(fmt.Sprintf("linking exit %d to %#x", i, inst.VAddr))
+	}
+	for _, id := range stubs {
+		c.Invalidate(id)
+		check(fmt.Sprintf("invalidating stub %d", id))
+	}
 }
 
 // BenchmarkVerify measures verification throughput over the harvested

@@ -36,6 +36,10 @@ type Fragment struct {
 	IAddr uint64
 	Sizes []uint8
 
+	// code is Insts lowered for the executor (see Code); every change to
+	// Insts after install goes through relower to keep it in step.
+	code []Op
+
 	// exits holds the static counts charged when control leaves the
 	// fragment, one entry per control-transfer position in order (see
 	// Exit).
@@ -505,9 +509,10 @@ func (c *Cache) Reset() {
 
 // Install places a translation into the cache: it assigns I-addresses,
 // records the per-exit counts, links the new fragment's exits against
-// already-translated targets, and patches other fragments' pending exits
-// that were waiting for this fragment's start address. A fragment longer
-// than MaxFragInsts is rejected.
+// already-translated targets, lowers its code for the executor, and
+// patches (and re-lowers) other fragments' pending exits that were
+// waiting for this fragment's start address. A fragment longer than
+// MaxFragInsts is rejected.
 func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 	exits, err := exitCounts(res.Insts)
 	if err != nil {
@@ -554,7 +559,8 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 	c.reg.Counter("tcache.installs").Inc()
 	c.reg.Counter("tcache.code_bytes").Add(uint64(f.CodeBytes))
 
-	// Link this fragment's own exits against existing fragments.
+	// Link this fragment's own exits against existing fragments, then
+	// lower the linked code.
 	for i := range f.Insts {
 		inst := &f.Insts[i]
 		if !inst.IsExit() {
@@ -566,6 +572,8 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 			c.pending[inst.VAddr] = append(c.pending[inst.VAddr], patchSite{frag: f.ID, idx: i})
 		}
 	}
+	f.code = Lower(f.Insts)
+	codeChanged(f)
 
 	// Patch pending exits elsewhere that target this fragment.
 	for _, site := range c.pending[f.VStart] {
@@ -637,6 +645,7 @@ func (c *Cache) Invalidate(id int32) bool {
 			if inst.Frag != id {
 				continue
 			}
+			old := *inst
 			switch inst.Kind {
 			case ildp.KindCondBranch:
 				inst.Kind = ildp.KindCallTransCond
@@ -646,6 +655,7 @@ func (c *Cache) Invalidate(id int32) bool {
 				continue
 			}
 			inst.Frag = ildp.NoFrag
+			g.relower(i, &old)
 			if g.pristineInsts != nil && i < len(g.pristineInsts) {
 				g.pristineInsts[i] = *inst
 			}
@@ -667,6 +677,7 @@ func (c *Cache) Invalidate(id int32) bool {
 // condition-is-met instruction with a normal conditional branch").
 func (c *Cache) patch(f *Fragment, idx int, target int32) {
 	inst := &f.Insts[idx]
+	old := *inst
 	switch inst.Kind {
 	case ildp.KindCallTransCond:
 		inst.Kind = ildp.KindCondBranch
@@ -678,6 +689,7 @@ func (c *Cache) patch(f *Fragment, idx int, target int32) {
 		return
 	}
 	inst.Frag = target
+	f.relower(idx, &old)
 	if f.pristineInsts != nil && idx < len(f.pristineInsts) {
 		// Patching is the one legitimate post-install mutation; keep the
 		// integrity baseline in lockstep.

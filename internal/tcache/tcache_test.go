@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/emu"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/translate"
 )
@@ -314,5 +315,112 @@ func TestInstallRejectsOversizedFragment(t *testing.T) {
 	// A fragment at the limit installs.
 	if _, err := c.Install(res(0x1000, long[:MaxFragInsts]...)); err != nil {
 		t.Errorf("fragment of MaxFragInsts rejected: %v", err)
+	}
+}
+
+// TestReturnTargetCache checks push-dual-ras's cached return target: it
+// is trusted only while its ID slot still holds a fragment starting at
+// the return address, through invalidation, reinstallation and flush.
+func TestReturnTargetCache(t *testing.T) {
+	c := New(ildp.Modified)
+	push := Lower([]ildp.Inst{{Kind: ildp.KindPushRAS, VAddr: 0x1000}})[0]
+	if got := c.ReturnTarget(&push); got != ildp.NoFrag {
+		t.Fatalf("untranslated return address resolved to %d", got)
+	}
+	a, _ := c.Install(res(0x1000, alu(), exitTo(0x2000)))
+	if got := c.ReturnTarget(&push); got != a.ID || push.link() != a.ID {
+		t.Fatalf("ReturnTarget = %d (cached %d), want %d", got, push.link(), a.ID)
+	}
+	c.Invalidate(a.ID)
+	if got := c.ReturnTarget(&push); got != ildp.NoFrag {
+		t.Fatalf("invalidated return target resolved to %d", got)
+	}
+	b, _ := c.Install(res(0x1000, alu(), exitTo(0x2000)))
+	if got := c.ReturnTarget(&push); got != b.ID {
+		t.Fatalf("reinstalled return target resolved to %d, want %d", got, b.ID)
+	}
+	c.Flush()
+	other, _ := c.Install(res(0x3000, alu(), exitTo(0x2000)))
+	if other.ID != b.ID && other.ID != a.ID {
+		t.Fatalf("flush did not reuse ID slots (got %d)", other.ID)
+	}
+	if got := c.ReturnTarget(&push); got != ildp.NoFrag {
+		t.Fatalf("cached ID of a flushed fragment resolved to %d", got)
+	}
+}
+
+// TestLowerInvalid checks that an instruction the executor cannot run
+// lowers to HInvalid, and that fields a kind ignores do not matter.
+func TestLowerInvalid(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inst ildp.Inst
+		want Handler
+	}{
+		{"acc write past the file", ildp.Inst{Kind: ildp.KindALU, Op: alpha.OpADDQ, Acc: 8, WritesAcc: true}, HInvalid},
+		{"source past the scratch file", ildp.Inst{Kind: ildp.KindALU, Op: alpha.OpADDQ, SrcA: ildp.GPRSrc(64), Dest: alpha.RegZero}, HInvalid},
+		{"dest past the scratch file", ildp.Inst{Kind: ildp.KindSaveVRA, Dest: 70}, HInvalid},
+		{"operation past Fn", ildp.Inst{Kind: ildp.KindLoad, Op: 300, Dest: alpha.RegZero}, HInvalid},
+		{"unknown kind", ildp.Inst{Kind: 99}, HInvalid},
+		{"immediate store, wide displacement", ildp.Inst{Kind: ildp.KindStore, Op: alpha.OpSTQ,
+			SrcA: ildp.GPRSrc(1), SrcB: ildp.ImmSrc(5), Disp: 1 << 20}, HInvalid},
+		{"immediate store", ildp.Inst{Kind: ildp.KindStore, Op: alpha.OpSTQ,
+			SrcA: ildp.GPRSrc(1), SrcB: ildp.ImmSrc(5), Disp: -8}, HStoreImm},
+		{"set-vpc ignores Op", ildp.Inst{Kind: ildp.KindSetVPC, Op: 300}, HNop},
+		{"acc read wraps", ildp.Inst{Kind: ildp.KindALU, Op: alpha.OpADDQ, Acc: ildp.NoAcc,
+			SrcA: ildp.AccSrc(), SrcB: ildp.ImmSrc(1), Dest: 3}, HALUImmB},
+	} {
+		if got := Lower([]ildp.Inst{tc.inst})[0].H; got != tc.want {
+			t.Errorf("%s: handler %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFoldable pins foldable to the operations emu.EvalOp defines: an
+// ALU operation on two immediates is evaluated at install only when
+// EvalOp cannot panic on it.
+func TestFoldable(t *testing.T) {
+	for op := alpha.Op(0); op < 0x100; op++ {
+		panics := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			emu.EvalOp(op, 1, 2)
+			return false
+		}()
+		if foldable(op) == panics {
+			t.Errorf("%v: foldable %v, but EvalOp panics=%v", op, foldable(op), panics)
+		}
+	}
+}
+
+// TestSetInstRelowers changes installed instructions through SetInst:
+// a change that keeps the instruction's PEI and control-transfer status
+// re-lowers its slot, and one that makes it a PEI point shifts the PEI
+// ordinals after it.
+func TestSetInstRelowers(t *testing.T) {
+	c := New(ildp.Modified)
+	load := ildp.Inst{Kind: ildp.KindLoad, Op: alpha.OpLDQ, SrcA: ildp.AccSrc(), Acc: 0,
+		WritesAcc: true, Dest: alpha.RegZero, Frag: ildp.NoFrag, Class: ildp.ClassCore}
+	f, err := c.Install(res(0x1000, alu(), load, condExitTo(0x2000), exitTo(0x3000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Code()[1].Ord(); got != 0 {
+		t.Fatalf("load's PEI ordinal %d, want 0", got)
+	}
+	changed := alu()
+	changed.SrcB = ildp.ImmSrc(7)
+	f.SetInst(0, changed)
+	if err := f.CheckCode(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Code()[0].Imm != 7 {
+		t.Errorf("re-lowered ALU immediate %d, want 7", f.Code()[0].Imm)
+	}
+	f.SetInst(0, load)
+	if err := f.CheckCode(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Code()[1].Ord(); got != 1 {
+		t.Errorf("after a PEI point was inserted before it, the load's ordinal is %d, want 1", got)
 	}
 }

@@ -69,8 +69,7 @@ func (v *VM) Restore(st *checkpoint.State) {
 	v.sb = translate.Superblock{}
 	v.inTrace = nil
 	v.ras = newDualRAS(v.cfg.RASSize)
-	v.scratch = [len(v.scratch)]uint64{}
-	v.acc = [len(v.acc)]uint64{}
+	v.file = [len(v.file)]uint64{}
 	v.inFallback = false
 	v.wdRetired = v.Stats.TotalVInsts()
 	v.wdWork = v.Stats.TransIInsts + v.Stats.InterpInsts

@@ -38,154 +38,148 @@ func (v *VM) profChain(kind prof.ChainKind) {
 // routine, until control exits back to the VM. It returns the V-ISA
 // address at which interpretation (or further lookup) should continue.
 //
-// The loop pays only for what is attached. It builds a trace record only
-// when a sink is attached, and it does no per-instruction statistics:
-// the translated-instruction counts of a run through a fragment are
-// static, so they are charged once, from the fragment's exit-indexed
-// counts, when control leaves it (DESIGN.md §16).
+// The loop runs the fragment's lowered code (tcache.Op, DESIGN.md §18):
+// operand modes, registers, and PEI and exit ordinals were resolved at
+// install, so each instruction is one switch on its handler, over
+// operands addressed by slot in v.file. It pays
+// only for what is attached: it builds a trace record, from the
+// instruction itself, only when a sink is attached, and it does no
+// per-instruction statistics: the translated-instruction counts of a run
+// through a fragment are static, so they are charged once, from the
+// fragment's exit-indexed counts, when control leaves it (DESIGN.md §16).
 func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 	sink := v.cfg.Sink
 	var (
-		idx     int    // current instruction of frag
-		peiIdx  int    // PEI-table ordinal of the next load, store or core branch
-		exitIdx int    // ordinal of the next control transfer
-		iaddr   uint64 // I-address of frag.Insts[idx], kept only with a sink
-		recBuf  trace.Rec
+		code   []tcache.Op // frag's lowered code
+		idx    int         // current instruction of frag
+		iaddr  uint64      // I-address of frag.Insts[idx], kept only with a sink
+		recBuf trace.Rec
 		// pending is true while frag.Insts[:idx+1] is not yet charged.
 		pending bool
 	)
-	// A return that leaves neither through a control transfer nor
+	// Translated code works on a copy of the GPRs in the operand file;
+	// every return, a semantic panic included, stores it back to the
+	// CPU. A return that leaves neither through a control transfer nor
 	// through a trap (a malformed fragment, or a semantic panic unwinding
 	// to Run) charges the executed prefix here, the failing instruction
 	// included.
+	copy(v.file[:alpha.NumRegs], v.cpu.Reg[:])
 	defer func() {
+		copy(v.cpu.Reg[:alpha.RegZero], v.file[:alpha.RegZero])
 		if pending {
 			v.Stats.addCounts(frag.Prefix(idx))
 		}
 	}()
 	enterFrag := func(f *tcache.Fragment) {
 		frag = f
-		idx, peiIdx, exitIdx = 0, 0, 0
+		code = f.Code()
+		idx = 0
 		iaddr = f.IAddr
 		pending = true
 		frag.ExecCount++
 		v.Stats.FragEntries++
 		v.profEnter(frag)
 	}
-	// leave charges the prefix ending at the control transfer at idx. It
-	// runs before anything that can observe Stats as control leaves the
-	// fragment: takeBranch's dispatch and recovery hooks, fragUsable's
-	// watchdog, Poll and Stop, and the profiler.
-	leave := func() {
+	// leave charges the prefix ending at the control transfer at idx, the
+	// fragment's ord-th. It runs before anything that can observe Stats
+	// as control leaves the fragment: takeBranch's dispatch and recovery
+	// hooks, fragUsable's watchdog, Poll and Stop, and the profiler.
+	leave := func(ord int) {
 		pending = false
-		if e, ok := frag.Exit(exitIdx, idx); ok {
+		if e, ok := frag.Exit(ord, idx); ok {
 			v.Stats.addCounts(*e)
 			return
 		}
 		v.Stats.addCounts(frag.Prefix(idx))
 	}
-	// trap charges the prefix ending at a load or store that faulted. The
-	// faulting I-instruction counts as executed, but its own V-instruction
-	// did not retire: it carries one credit (any more belong to earlier
-	// straightened-away branches), which is held back so TotalVInsts
-	// equals the interpreter's count at the same trap.
-	trap := func(inst *ildp.Inst) {
+	// trap charges the prefix ending at a load or store that faulted and
+	// recovers the precise state. The faulting I-instruction counts as
+	// executed, but its own V-instruction did not retire: it carries one
+	// credit (any more belong to earlier straightened-away branches),
+	// which is held back so TotalVInsts equals the interpreter's count at
+	// the same trap.
+	trap := func(peiIdx int, cause error) error {
 		pending = false
+		inst := &frag.Insts[idx]
 		e := frag.Prefix(idx)
 		if inst.VCredit > 0 {
 			e.VInsts--
 		}
 		v.Stats.addCounts(e)
+		return v.preciseTrap(frag, peiIdx, inst, cause)
 	}
+	file := &v.file
 	enterFrag(frag)
 
 	for {
-		if idx >= len(frag.Insts) {
-			return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
-		}
-		inst := &frag.Insts[idx]
+		o := &code[idx]
 		var rec *trace.Rec
-		if sink != nil {
-			recBuf = v.newRec(inst, iaddr, frag.Sizes[idx])
+		if sink != nil && o.H != tcache.HEnd {
+			recBuf = v.newRec(&frag.Insts[idx], iaddr, frag.Sizes[idx])
 			rec = &recBuf
 			iaddr += uint64(frag.Sizes[idx])
 		}
 
-		switch inst.Kind {
-		case ildp.KindALU:
-			val := emu.EvalOp(inst.Op, v.readSrc(inst, inst.SrcA), v.readSrc(inst, inst.SrcB))
-			if inst.WritesAcc {
-				v.acc[inst.Acc] = val
-			}
-			if inst.Dest != alpha.RegZero {
-				v.writeGPR(inst.Dest, val)
-			}
+		// Value-producing handlers leave the switch with val, which the
+		// tail writes to the op's accumulator and register slots; the
+		// others go to next.
+		var val uint64
+		switch o.H {
+		case tcache.HALU:
+			val = emu.EvalOp(alpha.Op(o.Fn), file[o.X&127], file[o.Y&127])
 
-		case ildp.KindCMOV:
-			cond := v.acc[inst.Acc&7]
-			if inst.SrcA.Kind == ildp.SrcGPR {
-				cond = v.readGPR(inst.SrcA.Reg)
-			}
-			if emu.EvalCond(inst.Op, cond) {
-				v.writeGPR(inst.Dest, v.readSrc(inst, inst.SrcB))
-			}
+		case tcache.HALUImmA:
+			val = emu.EvalOp(alpha.Op(o.Fn), o.Imm, file[o.Y&127])
 
-		case ildp.KindLoad:
-			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
-			val, err := emu.LoadMem(v.mem, inst.Op, addr)
-			if err != nil {
-				trap(inst)
-				return 0, v.preciseTrap(frag, peiIdx, inst, err)
+		case tcache.HALUImmB:
+			val = emu.EvalOp(alpha.Op(o.Fn), file[o.X&127], o.Imm)
+
+		case tcache.HMove:
+			val = file[o.X&127] + o.Imm
+
+		case tcache.HLoad:
+			addr := file[o.X&127] + o.Imm
+			var err error
+			if val, err = emu.LoadMem(v.mem, alpha.Op(o.Fn), addr); err != nil {
+				return 0, trap(o.Ord(), err)
 			}
 			if rec != nil {
-				rec.MemAddr = recMemAddr(inst.Op == alpha.OpLDQU, addr)
-			}
-			if inst.WritesAcc {
-				v.acc[inst.Acc] = val
-			}
-			if inst.Dest != alpha.RegZero {
-				v.writeGPR(inst.Dest, val)
+				rec.MemAddr = recMemAddr(alpha.Op(o.Fn) == alpha.OpLDQU, addr)
 			}
 
-		case ildp.KindStore:
-			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
-			data := v.readSrc(inst, inst.SrcB)
-			if err := emu.StoreMem(v.mem, inst.Op, addr, data); err != nil {
-				trap(inst)
-				return 0, v.preciseTrap(frag, peiIdx, inst, err)
+		case tcache.HStore, tcache.HStoreImm:
+			addr, data := file[o.X&127]+o.Imm, file[o.Y&127]
+			if o.H == tcache.HStoreImm {
+				addr, data = file[o.X&127]+o.Disp16(), o.Imm
+			}
+			if err := emu.StoreMem(v.mem, alpha.Op(o.Fn), addr, data); err != nil {
+				return 0, trap(o.Ord(), err)
 			}
 			if rec != nil {
-				rec.MemAddr = recMemAddr(inst.Op == alpha.OpSTQU, addr)
+				rec.MemAddr = recMemAddr(alpha.Op(o.Fn) == alpha.OpSTQU, addr)
 			}
+			goto next
 
-		case ildp.KindCopyToGPR:
-			v.writeGPR(inst.Dest, v.acc[inst.Acc&7])
-
-		case ildp.KindCopyFromGPR:
-			v.acc[inst.Acc] = v.readSrc(inst, inst.SrcA)
-
-		case ildp.KindSetVPC:
-			// The implementation PC base for trap recovery; functionally a
-			// special-register write.
-
-		case ildp.KindLoadETA:
-			v.acc[inst.Acc] = inst.VAddr
-
-		case ildp.KindSaveVRA:
-			v.writeGPR(inst.Dest, inst.VAddr)
-
-		case ildp.KindPushRAS:
-			target := ildp.NoFrag
-			if f := v.tc.Lookup(inst.VAddr); f != nil {
-				target = f.ID
+		case tcache.HCMOV:
+			if emu.EvalCond(alpha.Op(o.Fn), file[o.X&127]) {
+				file[o.D()&127] = file[o.Y&127] + o.Imm
 			}
-			v.ras.push(inst.VAddr, target)
+			goto next
 
-		case ildp.KindCondBranch, ildp.KindCallTransCond, ildp.KindBranch, ildp.KindCallTrans:
-			taken := true
-			if inst.Kind == ildp.KindCondBranch || inst.Kind == ildp.KindCallTransCond {
-				taken = emu.EvalCond(inst.Op, v.readSrc(inst, inst.SrcA))
-				if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
+		case tcache.HNop:
+			// Set-VPC writes the implementation PC base for trap recovery,
+			// functionally a special-register write; dispatch body work
+			// happens at the dispatch routine's final jump.
+			goto next
+
+		case tcache.HPushRAS:
+			v.ras.push(o.Imm, v.tc.ReturnTarget(o))
+			goto next
+
+		case tcache.HCondBranch, tcache.HSWPred, tcache.HBranch:
+			if o.H != tcache.HBranch {
+				taken := emu.EvalCond(alpha.Op(o.Fn), file[o.X&127]+o.Imm)
+				if o.H == tcache.HSWPred {
 					// Software jump prediction verdict.
 					if taken {
 						v.Stats.SWPredMisses++
@@ -195,27 +189,26 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 						v.profChain(prof.ChainSWPredHit)
 					}
 				}
-			}
-			if !taken {
-				exitIdx++
-				break
+				if !taken {
+					goto next
+				}
 			}
 			if rec != nil {
 				rec.Taken = true
 			}
-			leave()
-			next, exitV := v.takeBranch(inst, rec)
-			if next == nil {
+			leave(o.Ord())
+			f, exitV := v.takeBranch(&frag.Insts[idx], rec)
+			if f == nil {
 				v.finishRec(rec, true)
 				v.profExit(prof.ExitVM)
 				return exitV, nil
 			}
 			v.finishRec(rec, false)
-			enterFrag(next)
+			enterFrag(f)
 			continue
 
-		case ildp.KindJumpRet:
-			target := v.readSrc(inst, inst.SrcA) &^ 3
+		case tcache.HJumpRet:
+			target := (file[o.X&127] + o.Imm) &^ 3
 			entry, ok := v.ras.pop()
 			if ok && entry.v == target && entry.frag != ildp.NoFrag {
 				if f := v.tc.Frag(entry.frag); f != nil && f.VStart == entry.v {
@@ -226,7 +219,7 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 						rec.PredHit = true
 						rec.Target = f.IAddr
 					}
-					leave()
+					leave(o.Ord())
 					if !v.fragUsable(f) {
 						v.finishRec(rec, true)
 						return entry.v, nil
@@ -240,14 +233,11 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			// unconditional branch that follows.
 			v.Stats.RASMisses++
 			v.profChain(prof.ChainRASMiss)
-			v.writeGPR(ildp.RegJTarget, target)
-			exitIdx++
+			file[ildp.RegJTarget] = target
+			goto next
 
-		case ildp.KindDispatchOp:
-			// Dispatch body work; the lookup happens at the final jump.
-
-		case ildp.KindJumpInd:
-			leave()
+		case tcache.HJumpInd:
+			leave(o.Ord())
 			f, exitV, miss := v.dispatchJump(rec)
 			if miss {
 				v.profExit(prof.ExitVM)
@@ -258,14 +248,18 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			enterFrag(f)
 			continue
 
+		case tcache.HEnd:
+			return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
+
 		default:
-			return 0, fmt.Errorf("vm: cannot execute %v", inst.Kind)
+			inst := &frag.Insts[idx]
+			return 0, fmt.Errorf("vm: cannot execute %v: %v", inst.Kind, inst)
 		}
 
+		file[o.W()&127] = val
+		file[o.D()&127] = val
+	next:
 		v.finishRec(rec, false)
-		if peiPoint(inst) {
-			peiIdx++
-		}
 		idx++
 	}
 }
@@ -360,7 +354,7 @@ func (v *VM) runDispatch() (*tcache.Fragment, uint64) {
 // VM; miss reports a failed lookup. It emits rec, the jump's trace
 // record (nil without a sink).
 func (v *VM) dispatchJump(rec *trace.Rec) (f *tcache.Fragment, exitV uint64, miss bool) {
-	target := v.readGPR(ildp.RegJTarget)
+	target := v.file[ildp.RegJTarget]
 	v.Stats.DispatchRuns++
 	if rec != nil {
 		rec.Taken = true
@@ -397,58 +391,22 @@ func (v *VM) preciseTrap(frag *tcache.Fragment, peiIdx int, inst *ildp.Inst, cau
 	if vpc != inst.VPC {
 		return fmt.Errorf("vm: PEI table disagrees: table %#x, instruction %#x", vpc, inst.VPC)
 	}
+	// The recovered values go to the working copy of the GPRs, which
+	// execTranslated stores back as it returns.
 	if peiIdx < len(frag.PEIRecover) {
 		for _, pair := range frag.PEIRecover[peiIdx] {
-			v.cpu.WriteReg(pair.Reg, v.acc[pair.Acc&7])
+			if pair.Reg != alpha.RegZero {
+				v.file[pair.Reg] = v.file[tcache.SlotAcc+uint8(pair.Acc&7)]
+			}
 		}
 	}
 	v.cpu.PC = vpc
 	return &emu.Trap{PC: vpc, Cause: cause}
 }
 
-func peiPoint(inst *ildp.Inst) bool {
-	if inst.Class != ildp.ClassCore {
-		return false
-	}
-	switch inst.Kind {
-	case ildp.KindLoad, ildp.KindStore, ildp.KindCallTransCond, ildp.KindCondBranch:
-		return true
-	}
-	return false
-}
-
 func dispatchEntry(tc *tcache.Cache) uint64 {
 	_, addrs := tc.Dispatch()
 	return addrs[0]
-}
-
-// readGPR reads an I-ISA register: architected GPRs come from the
-// interpreter state, the VM-private scratch registers from the VM.
-func (v *VM) readGPR(r alpha.Reg) uint64 {
-	if r < alpha.NumRegs {
-		return v.cpu.ReadReg(r)
-	}
-	return v.scratch[r-alpha.NumRegs]
-}
-
-func (v *VM) writeGPR(r alpha.Reg, val uint64) {
-	if r < alpha.NumRegs {
-		v.cpu.WriteReg(r, val)
-		return
-	}
-	v.scratch[r-alpha.NumRegs] = val
-}
-
-func (v *VM) readSrc(inst *ildp.Inst, s ildp.Src) uint64 {
-	switch s.Kind {
-	case ildp.SrcAcc:
-		return v.acc[inst.Acc&7]
-	case ildp.SrcGPR:
-		return v.readGPR(s.Reg)
-	case ildp.SrcImm:
-		return uint64(s.Imm)
-	}
-	return 0
 }
 
 // newRec builds the timing-trace record skeleton for one I-instruction.

@@ -259,3 +259,45 @@ func TestTrapInChainedFragmentCounts(t *testing.T) {
 		})
 	}
 }
+
+// TestInterpStepSinkAllocs pins the interpreter's record path to zero
+// allocations: with an InterpSink attached, each interpreted instruction
+// builds one trace record on the stack. The loop body covers a
+// conditional move, the one instruction with three source registers.
+func TestInterpStepSinkAllocs(t *testing.T) {
+	const src = `
+	.text 0x10000
+	.entry start
+start:
+	ldiq  t3, 1
+	ldiq  fp, 0x20000
+loop:
+	cmoveq t0, t1, t2
+	addq  t0, #1, t0
+	stq   t0, 0(fp)
+	ldq   t4, 0(fp)
+	bne   t3, loop
+`
+	cfg := DefaultConfig()
+	cfg.HotThreshold = 1 << 30 // interpret only
+	cfg.InterpSink = &trace.Counter{}
+	v := New(mem.New(), cfg)
+	if err := v.LoadProgram(alphaasm.MustAssemble(src)); err != nil {
+		t.Fatal(err)
+	}
+	// Warm up: first touches of the code and data pages, and the loop
+	// head's profiling counter.
+	for i := 0; i < 20; i++ {
+		if err := v.interpStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := v.interpStep(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("interpStep with an InterpSink: %v allocations per instruction, want 0", allocs)
+	}
+}

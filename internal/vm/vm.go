@@ -419,9 +419,14 @@ type VM struct {
 	mem *mem.Memory
 	tc  *tcache.Cache
 
-	scratch [ildp.NumGPR - alpha.NumRegs]uint64
-	acc     [ildp.MaxAccumulators]uint64
-	ras     dualRAS
+	// file is the operand file translated code addresses by slot
+	// (tcache.SlotAcc): R0-R31, the VM-private scratch GPRs R32-R63, the
+	// accumulators, and the zero and discard entries. Its first 32
+	// entries are a working copy of the architected GPRs: execTranslated
+	// loads them from the CPU as it starts and stores them back as it
+	// returns.
+	file [128]uint64
+	ras  dualRAS
 
 	counters map[uint64]int
 
@@ -882,8 +887,8 @@ func alphaRec(inst *alpha.Inst, pc, next uint64) trace.Rec {
 		SrcAcc: trace.NoAcc,
 		DstAcc: trace.NoAcc,
 	}
-	var srcs []alpha.Reg
-	srcs = inst.Sources(srcs)
+	var buf [3]alpha.Reg
+	srcs := inst.Sources(buf[:0])
 	for i, r := range srcs {
 		if i >= 2 {
 			break
